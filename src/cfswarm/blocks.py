@@ -6,8 +6,6 @@ evaluate against a `leaves` dict (name -> Tensor), which is either the
 store's raw parameters (inference) or tape-attached copies (training).
 """
 
-import numpy as np
-
 from . import tensor as T
 from .errors import ContractError, DimensionError
 from .optim import ParamStore
@@ -123,6 +121,12 @@ class GnnBlock:
     Edge network f_e maps the concatenated ordered pair [v_k, v_j] to an edge
     vector; node network f_v maps the sum over j != k of incoming edges to the
     output.  With a single node there are no edges and f_v sees a zero vector.
+
+    f_e's output layer is affine, so it commutes with the neighbour sum:
+    sum_j (h_kj W1 + b1) = (sum_j h_kj) W1 + (K - 1) b1.  The block therefore
+    sums f_e's hidden layer over neighbours first (edge -> aggregate -> node,
+    as in Battaglia et al. 2018) and applies W1 once per node, so no
+    per-edge output vector is ever formed.
     """
 
     def __init__(self, name: str, n_in: int, n_hidden: int, n_edge: int, n_out: int):
@@ -153,18 +157,13 @@ class GnnBlock:
         top = T.slice_axis(w0, 0, 0, f)
         bot = T.slice_axis(w0, 0, f, 2 * f)
         m = self.f_e.sizes[1]
-        proj_k = T.reshape(T.matmul(flat, top), (b, k, 1, m))
-        proj_j = T.reshape(T.matmul(flat, bot), (b, 1, k, m))
-        pre = T.add(T.add(proj_k, proj_j), leaves[f"{self.name}.fe.b0"])
-        hidden = T.tanh(pre)
-        edges = T.add(
-            T.reshape(T.matmul(T.reshape(hidden, (b * k * k, m)),
-                               leaves[f"{self.name}.fe.w1"]),
-                      (b, k, k, self.n_edge)),
-            leaves[f"{self.name}.fe.b1"])
-        offdiag = (1.0 - np.eye(k, dtype=np.float64)).reshape(1, k, k, 1)
-        agg = T.sum_axis(T.mul(edges, offdiag), axis=2)
-        out = self.f_v(leaves, T.reshape(agg, (b * k, self.n_edge)))
+        proj_k = T.reshape(T.matmul(flat, top), (b, k, m))
+        proj_j = T.reshape(T.matmul(flat, bot), (b, k, m))
+        h_sum = T.pair_tanh_sum(proj_k, proj_j, leaves[f"{self.name}.fe.b0"])
+        agg = T.add(T.matmul(T.reshape(h_sum, (b * k, m)),
+                             leaves[f"{self.name}.fe.w1"]),
+                    T.mul(leaves[f"{self.name}.fe.b1"], float(k - 1)))
+        out = self.f_v(leaves, agg)
         out = T.reshape(out, (b, k, self.n_out))
         if squeeze:
             out = T.reshape(out, (k, self.n_out))

@@ -30,8 +30,8 @@ class DataConfig:
     def validate(self) -> "DataConfig":
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("every split needs at least one episode")
-        if not (0.0 <= self.untreated_fraction <= 1.0):
-            raise ConfigError("untreated_fraction must lie in [0, 1]")
+        if not (0.0 <= self.untreated_fraction < 1.0):
+            raise ConfigError("untreated_fraction must lie in [0, 1)")
         return self
 
 

@@ -102,6 +102,13 @@ def op_cases():
     def case(fn, arrays):
         return lambda: fd_check(fn, arrays)
 
+    def pair_case(k):
+        # K = 1 has no pairs and K = 2 one per node: the diagonal must stay
+        # out of the gradient as well as the value
+        arrays = [g.normal(size=(2, k, 3)), g.normal(size=(2, k, 3)),
+                  g.normal(size=3)]
+        return case(lambda xs: _weighted(T.pair_tanh_sum(*xs)), arrays)
+
     cases = {
         "add": case(lambda xs: _weighted(T.add(xs[0], xs[1])), [a, b[0]]),
         "sub": case(lambda xs: _weighted(T.sub(xs[0], xs[1])), [a, b]),
@@ -128,6 +135,9 @@ def op_cases():
         "concat": case(lambda xs: _weighted(T.concat([xs[0], xs[1]], 1)),
                        [a, b]),
         "slice": case(lambda xs: _weighted(T.slice_axis(xs[0], 1, 1, 3)), [a]),
+        "pair_tanh_sum": pair_case(4),
+        "pair_tanh_sum_k1": pair_case(1),
+        "pair_tanh_sum_k2": pair_case(2),
         "gaussian_sample": case(
             lambda xs: _weighted(T.gaussian_sample(xs[0], T.add(T.softplus(xs[1]), 0.1),
                                                    Rng(rng_seed))),

@@ -167,6 +167,10 @@ def load_checkpoint(stem: str) -> ParamStore:
         shape = tuple(int(s) for s in shape_txt.split(",")) if shape_txt else ()
         size = int(np.prod(shape)) if shape else 1
         off = int(off_txt)
+        if off < 0 or off + size > raw.size:
+            raise ContractError(
+                f"checkpoint blob {blob_path!r} is truncated: {name!r} needs "
+                f"values [{off}, {off + size}) of {raw.size}")
         arr = raw[off:off + size].reshape(shape).astype(np.float64)
         if tag == "param":
             store.params[name] = Tensor(arr)

@@ -1,10 +1,11 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
 A ``Tape`` records every operation as it executes; ``backward`` walks the
-record in reverse append order (which is already topological) and fills a
-per-node gradient table.  Tensors are immutable values: each op allocates a
-fresh result and never mutates its inputs.  numpy supplies the array storage
-and kernels, the differentiation rules live here.
+record in reverse append order (which is already topological) and leaves a
+gradient for every leaf in the tape's gradient table.  Tensors are immutable
+values: each op allocates a fresh result and never mutates its inputs.
+numpy supplies the array storage and kernels, the differentiation rules live
+here.
 
 Unattached tensors (no tape) run through the exact same forward kernels, so
 inference costs no bookkeeping.
@@ -130,6 +131,7 @@ class Tape:
         return Tensor(arr, self, nid)
 
     def grad(self, t: Tensor) -> np.ndarray:
+        """Gradient of a leaf after backward (non-leaf gradients are not kept)."""
         if self.gradients is None:
             raise ContractError("backward has not been run on this tape")
         if t.tape is not self or t.node_id is None:
@@ -332,6 +334,19 @@ def _bw_gaussian_sample(g, saved):
     return (g, g * eps)
 
 
+def _bw_pair_tanh_sum(g, saved):
+    (hidden,) = saved
+    k = hidden.shape[1]
+    d = hidden * hidden
+    np.subtract(1.0, d, out=d)
+    d *= g[:, :, None, :]
+    # the zeroed diagonal of hidden would pass 1 - 0**2 = 1 through
+    diag = np.arange(k)
+    d[:, diag, diag, :] = 0.0
+    g_k = np.einsum("bkjm->bkm", d)
+    return (g_k, d.sum(axis=1), g_k.sum(axis=(0, 1)))
+
+
 def _bw_leaf(g, saved):
     return ()
 
@@ -363,6 +378,7 @@ BACKWARD = {
     "slice": _bw_slice,
     "grad_reverse": _bw_grad_reverse,
     "gaussian_sample": _bw_gaussian_sample,
+    "pair_tanh_sum": _bw_pair_tanh_sum,
 }
 
 
@@ -548,6 +564,29 @@ def slice_axis(a, axis: int, start: int, stop: int):
     return _emit("slice", (a,), (a.array.shape, axis, start), out)
 
 
+def pair_tanh_sum(proj_k, proj_j, b0):
+    """Neighbour sum of a pairwise tanh layer.
+
+    out[:, k] = sum over j != k of tanh(proj_k[:, k] + proj_j[:, j] + b0).
+    proj_k and proj_j are (B, K, m), b0 is (m,); the result is (B, K, m) and
+    is zero when K = 1.  Only the (B, K, K, m) tanh values are saved, with
+    the diagonal zeroed.
+    """
+    proj_k, proj_j, b0 = _lift(proj_k), _lift(proj_j), _lift(b0)
+    pk, pj, bias = proj_k.array, proj_j.array, b0.array
+    if pk.ndim != 3 or pk.shape != pj.shape or bias.shape != pk.shape[-1:]:
+        raise DimensionError(
+            f"pair_tanh_sum expects (B, K, m), (B, K, m), (m,): "
+            f"got {pk.shape}, {pj.shape}, {bias.shape}")
+    hidden = pk[:, :, None, :] + (pj + bias)[:, None, :, :]
+    np.tanh(hidden, out=hidden)
+    diag = np.arange(pk.shape[1])
+    hidden[:, diag, diag, :] = 0.0
+    # einsum reduces the middle axis about twice as fast as sum(axis=2)
+    return _emit("pair_tanh_sum", (proj_k, proj_j, b0), (hidden,),
+                 np.einsum("bkjm->bkm", hidden))
+
+
 # ---------------------------------------------------------------------------
 # stochastic / adversarial ops
 
@@ -622,8 +661,10 @@ def kl_diag_gauss(mu_q, sigma_q, mu_p, sigma_p):
 def backward(loss: Tensor):
     """Populate loss.tape.gradients from a scalar loss.
 
-    Every leaf ends up with a gradient (zeros when unused), so optimizers can
-    rely on full coverage after a single call.
+    The table keeps leaf gradients only: every leaf ends up with one (zeros
+    when unused), so optimizers can rely on full coverage after a single
+    call.  A non-leaf gradient is dropped as soon as its rule has consumed
+    it, which bounds the table by the live frontier of the reverse pass.
     """
     if not isinstance(loss, Tensor) or loss.tape is None or loss.node_id is None:
         raise ContractError("backward requires a tape-attached tensor")
@@ -638,6 +679,7 @@ def backward(loss: Tensor):
         node = tape.nodes[nid]
         if node.kind == "leaf":
             continue
+        del grads[nid]
         contributions = BACKWARD[node.kind](g, node.saved)
         for input_id, contrib in zip(node.inputs, contributions):
             if input_id < 0 or contrib is None:

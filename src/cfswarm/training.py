@@ -74,6 +74,14 @@ def validation_loss(model: CrnModel, store: ParamStore, split: Split,
     return acc
 
 
+def _checked(val: dict, when: str) -> dict:
+    # NaN compares False with everything, so a non-finite total would
+    # silently keep a stale best snapshot
+    if not np.isfinite(val["total"]):
+        raise NumericError(f"validation loss is non-finite {when}: {val}")
+    return val
+
+
 def _clip_grads(grads: dict[str, np.ndarray], clip_norm: float):
     total = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     if not np.isfinite(total):
@@ -92,15 +100,19 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
 
     The summary carries per-epoch rows (also written to loss_log.csv under
     out_dir together with best/last checkpoints), the initial validation
-    loss, the selected epoch, and the count of gradient-clip events.
+    loss, the selected epoch, and the count of gradient-clip events.  A
+    non-finite training or validation loss raises NumericError.
+
+    Each micro-batch's tape is released once its leaf gradients have been
+    accumulated, so no forward pass runs while an earlier tape is alive.
     """
     cfg.validate()
     train_split, val_split = dataset.train, dataset.val
     store = model.init_store(cfg.seed)
     root = Rng(derive_seed(cfg.seed, "train"))
 
-    init_val = validation_loss(model, store, val_split, cfg.weights,
-                               cfg.micro_batch)
+    init_val = _checked(validation_loss(model, store, val_split, cfg.weights,
+                                        cfg.micro_batch), "before training")
     best_val = init_val["total"]
     best_store = store.copy()
     best_epoch = 0
@@ -131,11 +143,14 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
                     grads_sum[name] = g.copy() if acc is None else acc + g
                 for k in LOG_FIELDS:
                     train_acc[k] += parts[k] * len(idx) / train_split.n
+                # the loss tensors reference the tape; drop them so this
+                # micro-batch's tape is freed before the next forward pass
+                del tape, leaves, total, scaled
             _, clipped = _clip_grads(grads_sum, cfg.clip_norm)
             clip_events += int(clipped)
             adam_step_grads(store, grads_sum, cfg.lr)
-        val = validation_loss(model, store, val_split, cfg.weights,
-                              cfg.micro_batch)
+        val = _checked(validation_loss(model, store, val_split, cfg.weights,
+                                       cfg.micro_batch), f"at epoch {epoch}")
         rows.append({"epoch": epoch,
                      **{f"train_{k}": train_acc[k] for k in LOG_FIELDS},
                      **{f"val_{k}": val[k] for k in LOG_FIELDS}})

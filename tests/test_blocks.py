@@ -201,6 +201,19 @@ def test_gnn_batched_equals_per_sample():
         assert np.max(np.abs(got[i] - single)) < 1e-12
 
 
+def test_gnn_saves_one_pair_array_and_no_edge_tensor():
+    # f_e's output layer runs after aggregation, so the only pair-sized
+    # array on the tape is the hidden layer of the fused op
+    block = GnnBlock("n", n_in=3, n_hidden=5, n_edge=4, n_out=2)
+    store = build(block, seed=7)
+    tape = T.Tape()
+    block(store.bind(tape), Rng(8).uniform_array((2, 6, 3), -1.0, 1.0))
+    shapes = [a.shape for node in tape.nodes for a in node.saved
+              if isinstance(a, np.ndarray)]
+    assert shapes.count((2, 6, 6, 5)) == 1
+    assert (2, 6, 6, 4) not in shapes
+
+
 def test_flat_block_not_equivariant_but_shaped():
     block = FlatBlock("f", n_agents=3, n_in=2, n_hidden=8, n_out=2)
     store = build(block, seed=7)

@@ -117,6 +117,7 @@ def test_load_config_weight_aliases(tmp_path):
     ("[train]\nepochs = -3\n", "epochs"),
     ("[sim]\nn_steps = 5\nburn_in = 9\n", "burn_in"),
     ("[data]\nn_train = 0\n", "at least one episode"),
+    ("[data]\nuntreated_fraction = 1.0\n", "untreated_fraction"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -220,6 +221,19 @@ def test_eval_honors_explicit_checkpoint(pipeline, tmp_path, capsys):
                  "--checkpoint", str(root / "train" / "last")])
     assert code == 0
     assert "evaluated tg_crn" in capsys.readouterr().out
+
+
+def test_eval_rejects_truncated_checkpoint(pipeline, tmp_path, capsys):
+    src = pipeline["root"] / "train" / "last"
+    stem = tmp_path / "cut"
+    (tmp_path / "cut.manifest").write_text(
+        src.with_suffix(".manifest").read_text())
+    blob = src.with_suffix(".blob").read_bytes()
+    (tmp_path / "cut.blob").write_bytes(blob[:len(blob) // 2])
+    code = main(["eval", "--config", pipeline["config"],
+                 "--out", str(tmp_path / "e"), "--checkpoint", str(stem)])
+    assert code == 1
+    assert "truncated" in capsys.readouterr().err
 
 
 def test_cf_rollout_dump(pipeline, tmp_path):

@@ -1,6 +1,7 @@
 """Optimization loop tests on a miniature world."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cfswarm.errors import ConfigError, NumericError
 from cfswarm.losses import LossWeights
 from cfswarm.model import CrnModel, ModelVariant
 from cfswarm.optim import load_checkpoint
+from cfswarm import training
 from cfswarm.training import TrainConfig, train, validation_loss
 
 from test_model import SMALL, small_cfg
@@ -137,6 +139,31 @@ def test_divergent_loss_raises_numeric_error(mini_ds):
     cfg = make_cfg(epochs=1, weights=LossWeights(alpha=float("inf")))
     with pytest.raises(NumericError):
         train(model, mini_ds, cfg)
+
+
+def test_non_finite_validation_loss_raises_numeric_error(mini_ds,
+                                                        monkeypatch):
+    model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
+    # before training: a NaN in the validation targets only
+    outcome = mini_ds.val.outcome.astype(np.float64)
+    outcome[0] = np.nan
+    poisoned = dataclasses.replace(
+        mini_ds, val=dataclasses.replace(mini_ds.val, outcome=outcome))
+    with pytest.raises(NumericError, match="before training"):
+        train(model, poisoned, make_cfg(epochs=1))
+
+    # after an epoch: the second validation pass reads NaN
+    calls = []
+    honest = training.validation_loss
+
+    def nan_after_first(*args, **kwargs):
+        val = honest(*args, **kwargs)
+        calls.append(val)
+        return val if len(calls) == 1 else {**val, "total": float("nan")}
+
+    monkeypatch.setattr(training, "validation_loss", nan_after_first)
+    with pytest.raises(NumericError, match="at epoch 1"):
+        train(model, mini_ds, make_cfg(epochs=2))
 
 
 def test_validation_loss_deterministic(mini_ds):
