@@ -1,0 +1,48 @@
+"""The one on-disk format: a numpy ``.npz`` zip of named arrays plus metadata.
+
+The zip directory gives each entry's name and offset, each ``.npy`` header
+its dtype and shape, and a CRC-32 guards each entry's bytes, so a truncated
+or corrupted file fails to load instead of loading as wrong data.  Metadata
+is one JSON string stored under a reserved key.  Entries are stamped with a
+fixed date, so identical inputs give byte-identical files.
+"""
+
+import json
+import zipfile
+
+import numpy as np
+
+from .errors import ContractError
+
+META_KEY = "__meta__"
+
+
+def save(path, arrays: dict, meta: dict) -> None:
+    """Write ``arrays`` (name -> array) and JSON-serializable ``meta``.
+
+    ``path`` should end in ``.npz``; numpy appends the suffix otherwise.
+    """
+    np.savez(path, allow_pickle=False, **arrays,
+             **{META_KEY: np.array(json.dumps(meta, sort_keys=True))})
+
+
+def load(path, names) -> tuple[dict, dict]:
+    """Read every array and the metadata; each of ``names`` must be present.
+
+    Any failure (missing file or key, truncation, checksum mismatch, junk)
+    is a ContractError naming the file.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {key: npz[key] for key in npz.files}
+        meta = json.loads(arrays.pop(META_KEY)[()])
+    except FileNotFoundError as exc:
+        raise ContractError(f"artifact {str(path)!r} not found") from exc
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            RuntimeError, zipfile.BadZipFile) as exc:
+        raise ContractError(
+            f"artifact {str(path)!r} is truncated or corrupt: {exc}") from exc
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        raise ContractError(f"artifact {str(path)!r} lacks {missing}")
+    return arrays, meta

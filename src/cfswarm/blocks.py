@@ -69,10 +69,6 @@ class Mlp:
     __call__ = forward
 
 
-def mlp_forward(mlp: Mlp, leaves, x):
-    return mlp.forward(leaves, x)
-
-
 class GruCell:
     """Single-step GRU: h' = (1 - z) * h + z * htilde."""
 
@@ -109,10 +105,6 @@ class GruCell:
         return _unrows(out, lead, self.n_hidden)
 
     __call__ = step
-
-
-def gru_step(cell: GruCell, leaves, x, h):
-    return cell.step(leaves, x, h)
 
 
 class GnnBlock:
@@ -172,10 +164,6 @@ class GnnBlock:
     __call__ = forward
 
 
-def gnn_forward(block: GnnBlock, leaves, nodes):
-    return block.forward(leaves, nodes)
-
-
 class FlatBlock:
     """MLP over flattened K x F input, reshaped back to per-agent outputs.
 
@@ -233,10 +221,6 @@ class GaussianHead:
         return _unrows(mu, lead, self.n_out), _unrows(sigma, lead, self.n_out)
 
     __call__ = forward
-
-
-def gaussian_head_forward(head: GaussianHead, leaves, x):
-    return head.forward(leaves, x)
 
 
 def treatment_head(mlp: Mlp, leaves, z, lambda_grl: float = 1.0):

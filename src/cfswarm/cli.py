@@ -21,15 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .boids import SimConfig
+from . import __version__, artifact
 from .config import RunConfig, load_config, require_sim_match
 from .data import Dataset, generate_dataset, ground_truth_ite, load_dataset, \
     save_dataset
 from .errors import ConfigError, ContractError, NumericError
 from .gradcheck import run_gradcheck
-from .metrics import evaluate
-from .model import CrnModel, ModelVariant, predict_ite
+from .metrics import DUMP_FILE, evaluate
+from .model import CrnModel, predict_ite
 from .optim import load_checkpoint
 from .sweep import covariate_tradeoff, default_grid, format_table, \
     load_grid, sensitivity_sweep, write_sweep_csv
@@ -187,17 +186,11 @@ def cmd_cf_rollout(cfg: RunConfig, args) -> int:
                        cf.x_global[:, -1].astype(np.float64), arms=arms,
                        mc_samples=cfg.eval.mc_samples, seed=cfg.eval.seed,
                        chunk=cfg.eval.chunk, trace=True)
-    blobs = {"y_pred": pred["y_all"], "a_pred": pred["a_all"],
-             "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
-             "tau_hat": pred["tau_hat"],
-             "best_timing": pred["best_timing"].astype(np.float64)}
-    lines = ["[dump]", "format = cf-rollout-v1",
-             f"arms = {' '.join(str(a) for a in pred['arms'])}"]
-    for name, arr in blobs.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        (out / f"{name}.bin").write_bytes(arr.tobytes())
-        lines.append(f"{name} = {' '.join(str(s) for s in arr.shape)}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    artifact.save(out / DUMP_FILE, {
+        "y_pred": pred["y_all"], "a_pred": pred["a_all"],
+        "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
+        "tau_hat": pred["tau_hat"], "best_timing": pred["best_timing"]},
+        {"format": "cf-rollout-v2", "arms": pred["arms"]})
     write_run_manifest(out, "cf-rollout", cfg, started)
     print(f"counterfactual rollouts for {pred['y_all'].shape[0]} episodes x "
           f"{pred['y_all'].shape[1]} arms -> {out}")

@@ -90,8 +90,11 @@ def _apply(obj, section: str, items: dict[str, str]) -> None:
                 f"bad literal for {section}.{key}: {raw!r}") from exc
         if isinstance(current, bool):
             value = bool(value)
+        elif isinstance(current, (int, float)) and \
+                not isinstance(value, (int, float)):
+            raise ConfigError(f"{section}.{key} must be a number, not {raw!r}")
         elif isinstance(current, int) and not isinstance(value, bool):
-            if value != int(value):
+            if isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"{section}.{key} must be an integer")
             value = int(value)
         elif isinstance(current, float):
@@ -136,7 +139,7 @@ def load_config(path: str | Path) -> RunConfig:
                 try:
                     setattr(cfg.train.weights, attr,
                             float(ast.literal_eval(items.pop(ini_key))))
-                except (ValueError, SyntaxError) as exc:
+                except (ValueError, SyntaxError, TypeError) as exc:
                     raise ConfigError(f"bad train.{ini_key}") from exc
         _apply(cfg.train, "train", items)
     if parser.has_section("eval"):

@@ -1,19 +1,20 @@
 """Dataset assembly: factual splits, counterfactual test rollouts and the
-on-disk format (text manifest plus little-endian float32 blobs).
+on-disk format (one ``dataset.npz`` holding float32 covariates and outcomes,
+uint8 treatments and int32 intervention steps; see ``artifact``).
 
 Counterfactual sets share the factual episode's seed, so all arms agree
 bitwise before the earliest intervention step.  Ground-truth effects compare
 each treated arm's final outcome against the never-treated arm.
 """
 
-import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .boids import SimConfig, TrajectorySample, simulate
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError
 from .rng import Rng, derive_seed
 
 NEVER_TREATED = -1
@@ -154,71 +155,32 @@ def ground_truth_ite(cf: CounterfactualSet):
 
 
 # ---------------------------------------------------------------------------
-# on-disk format
+# on-disk format: one <dir>/dataset.npz, floats stored as float32
 
+DATASET_FILE = "dataset.npz"
+DATASET_FORMAT = "trajset-v2"
 _SPLIT_FIELDS = ("x_local", "x_global", "treatment", "outcome", "intervention")
 _CF_FIELDS = ("x_local", "x_global", "treatment", "outcome")
-
-
-def _dtype_for(name: str) -> str:
-    # spellings must stay free of "|", the manifest field separator
-    if name == "treatment":
-        return "u1"
-    if name == "intervention":
-        return "<i4"
-    return "<f4"
+_PARTS = (("train", _SPLIT_FIELDS), ("val", _SPLIT_FIELDS),
+          ("test", _SPLIT_FIELDS), ("cf", _CF_FIELDS))
 
 
 def save_dataset(ds: Dataset, out_dir: str) -> list[str]:
+    """Write <out_dir>/dataset.npz; returns the list of written paths."""
     os.makedirs(out_dir, exist_ok=True)
-    parser = configparser.ConfigParser()
-    parser["meta"] = {
-        "format": "trajset-v1",
-        "seed": str(ds.seed),
-        "untreated_fraction": repr(ds.untreated_fraction),
-        "arms": ",".join(str(a) for a in ds.cf.arms),
-    }
-    parser["sim"] = ds.cfg.echo()
-    parser["files"] = {}
-    written = []
-
-    def put(stem: str, name: str, arr: np.ndarray):
-        fname = f"{stem}_{name}.bin"
-        path = os.path.join(out_dir, fname)
-        arr.astype(_dtype_for(name)).tofile(path)
-        shape = ",".join(str(s) for s in arr.shape)
-        parser["files"][f"{stem}_{name}"] = f"{fname}|{_dtype_for(name)}|{shape}"
-        written.append(path)
-
-    for stem, split in (("train", ds.train), ("val", ds.val), ("test", ds.test)):
-        for name in _SPLIT_FIELDS:
-            put(stem, name, getattr(split, name))
-    for name in _CF_FIELDS:
-        put("cf", name, getattr(ds.cf, name))
-
-    manifest = os.path.join(out_dir, "manifest.txt")
-    with open(manifest, "w", encoding="utf-8") as fh:
-        parser.write(fh)
-    written.append(manifest)
-    return written
-
-
-def _read_field(out_dir, parser, key):
-    try:
-        fname, dtype, shape_txt = parser["files"][key].split("|")
-    except KeyError as exc:
-        raise ContractError(f"dataset manifest missing field {key!r}") from exc
-    shape = tuple(int(s) for s in shape_txt.split(","))
-    path = os.path.join(out_dir, fname)
-    arr = np.fromfile(path, dtype=dtype)
-    if arr.size != int(np.prod(shape)):
-        raise DimensionError(f"field {key!r} does not match its declared shape")
-    arr = arr.reshape(shape)
-    if dtype == "<f4":
-        arr = arr.astype(np.float64)
-    elif dtype == "<i4":
-        arr = arr.astype(np.int32)
-    return arr
+    arrays = {}
+    for part, names in _PARTS:
+        for name in names:
+            arr = getattr(getattr(ds, part), name)
+            if arr.dtype == np.float64:
+                arr = arr.astype("<f4")
+            arrays[f"{part}_{name}"] = arr
+    path = os.path.join(out_dir, DATASET_FILE)
+    artifact.save(path, arrays, {
+        "format": DATASET_FORMAT, "seed": ds.seed,
+        "untreated_fraction": ds.untreated_fraction, "arms": ds.cf.arms,
+        "sim": ds.cfg.echo()})
+    return [path]
 
 
 def sim_config_from_echo(echo: dict) -> SimConfig:
@@ -227,34 +189,24 @@ def sim_config_from_echo(echo: dict) -> SimConfig:
     kwargs = {}
     for f in SimConfig.__dataclass_fields__:
         if f not in echo:
-            raise ConfigError(f"dataset manifest missing sim field {f!r}")
+            raise ConfigError(f"dataset metadata missing sim field {f!r}")
         kwargs[f] = ast.literal_eval(echo[f])
     return SimConfig(**kwargs).validate()
 
 
 def load_dataset(out_dir: str) -> Dataset:
-    manifest = os.path.join(out_dir, "manifest.txt")
-    if not os.path.exists(manifest):
-        raise ContractError(f"no dataset manifest under {out_dir!r}")
-    parser = configparser.ConfigParser()
-    parser.read(manifest)
-    if parser["meta"].get("format") != "trajset-v1":
+    """Read <out_dir>/dataset.npz; floats come back as float64."""
+    arrays, meta = artifact.load(
+        os.path.join(out_dir, DATASET_FILE),
+        [f"{part}_{name}" for part, names in _PARTS for name in names])
+    if meta.get("format") != DATASET_FORMAT:
         raise ContractError("unrecognized dataset format")
-    cfg = sim_config_from_echo(dict(parser["sim"]))
-    arms = [int(a) for a in parser["meta"]["arms"].split(",")]
-
-    def split(stem):
-        return Split(*[_read_field(out_dir, parser, f"{stem}_{n}")
-                       for n in _SPLIT_FIELDS])
-
-    cf = CounterfactualSet(arms, *[_read_field(out_dir, parser, f"cf_{n}")
-                                   for n in _CF_FIELDS])
+    arrays = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr
+              for key, arr in arrays.items()}
+    part = {p: [arrays[f"{p}_{name}"] for name in names] for p, names in _PARTS}
     return Dataset(
-        cfg=cfg,
-        seed=int(parser["meta"]["seed"]),
-        train=split("train"),
-        val=split("val"),
-        test=split("test"),
-        cf=cf,
-        untreated_fraction=float(parser["meta"]["untreated_fraction"]),
-    )
+        cfg=sim_config_from_echo(meta["sim"]), seed=meta["seed"],
+        train=Split(*part["train"]), val=Split(*part["val"]),
+        test=Split(*part["test"]),
+        cf=CounterfactualSet(meta["arms"], *part["cf"]),
+        untreated_fraction=meta["untreated_fraction"])

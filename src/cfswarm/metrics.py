@@ -9,6 +9,10 @@ estimates per arm; the rooted PEHE and the absolute ATE error are computed
 per arm and averaged over arms.  Standard errors come from per-episode
 statistics (for the arm-averaged quantities, the SE of the per-episode
 aggregate).
+
+An evaluation dump is one ``dump.npz`` (see ``artifact``) with the
+predicted and true arrays and the arm list, next to ``report.json`` and
+``per_episode.csv``.
 """
 
 import csv
@@ -18,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifact
 from .boids import SimConfig
 from .data import CounterfactualSet, Dataset, ground_truth_ite
 from .errors import ContractError, DimensionError
@@ -142,8 +147,8 @@ def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
     """Run counterfactual predictions over the test set and score them.
 
     Read-only with respect to the parameters.  When dump_dir is given, the
-    raw prediction arrays are written as float64 blobs with a manifest so
-    every report field can be recomputed offline, alongside report.json and
+    raw prediction arrays are written to dump_dir/dump.npz so every report
+    field can be recomputed offline, alongside report.json and
     per_episode.csv.
     """
     cf = dataset.cf
@@ -165,26 +170,22 @@ def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
     return report, per_episode, pred
 
 
+DUMP_FILE = "dump.npz"
+EVAL_DUMP_FORMAT = "eval-dump-v2"
+_DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
+                "tau_true", "best_pred", "best_true", "y_true", "x_loc_true",
+                "x_g_true")
+
+
 def write_eval_dump(out: Path, report: MetricsReport, per_episode: dict,
                     pred: dict, cf: CounterfactualSet) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    blobs = {
-        "y_pred": pred["y_all"], "a_pred": pred["a_all"],
-        "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
-        "tau_hat": per_episode["tau_hat"], "tau_true": per_episode["tau_true"],
-        "best_pred": per_episode["best_pred"].astype(np.float64),
-        "best_true": per_episode["best_true"].astype(np.float64),
-        "y_true": cf.outcome.astype(np.float64),
-        "x_loc_true": cf.x_local.astype(np.float64),
-        "x_g_true": cf.x_global.astype(np.float64),
-    }
-    lines = ["[dump]", "format = eval-dump-v1",
-             f"arms = {' '.join(str(a) for a in cf.arms)}"]
-    for name, arr in blobs.items():
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        (out / f"{name}.bin").write_bytes(arr.tobytes())
-        lines.append(f"{name} = {' '.join(str(s) for s in arr.shape)}")
-    (out / "manifest.txt").write_text("\n".join(lines) + "\n")
+    values = (pred["y_all"], pred["a_all"], pred["x_loc_hat"],
+              pred["x_g_hat"], per_episode["tau_hat"],
+              per_episode["tau_true"], per_episode["best_pred"],
+              per_episode["best_true"], cf.outcome, cf.x_local, cf.x_global)
+    artifact.save(out / DUMP_FILE, dict(zip(_DUMP_ARRAYS, values)),
+                  {"format": EVAL_DUMP_FORMAT, "arms": cf.arms})
 
     (out / "report.json").write_text(report.to_json() + "\n")
     scalar_keys = [k for k in per_episode
@@ -198,23 +199,12 @@ def write_eval_dump(out: Path, report: MetricsReport, per_episode: dict,
 
 
 def read_eval_dump(path: Path) -> dict:
-    """Load a dump written by write_eval_dump; inverse for offline checks."""
-    path = Path(path)
-    arrays = {}
-    arms = None
-    for line in (path / "manifest.txt").read_text().splitlines():
-        if "=" not in line or line.startswith("["):
-            continue
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "format":
-            if val != "eval-dump-v1":
-                raise ContractError(f"unknown dump format {val!r}")
-        elif key == "arms":
-            arms = [int(v) for v in val.split()]
-        else:
-            shape = tuple(int(v) for v in val.split())
-            raw = (path / f"{key}.bin").read_bytes()
-            arrays[key] = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    arrays["arms"] = arms
+    """Load a dump written by write_eval_dump; inverse for offline checks.
+
+    Returns the arrays by name plus "arms", the arm list of the dump.
+    """
+    arrays, meta = artifact.load(Path(path) / DUMP_FILE, _DUMP_ARRAYS)
+    if meta.get("format") != EVAL_DUMP_FORMAT:
+        raise ContractError(f"unknown dump format {meta.get('format')!r}")
+    arrays["arms"] = meta["arms"]
     return arrays

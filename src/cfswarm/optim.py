@@ -1,9 +1,13 @@
-"""Named parameter storage, Adam updates and bit-exact checkpoints."""
+"""Named parameter storage, Adam updates and bit-exact checkpoints.
 
-import os
+A checkpoint is one ``<stem>.npz`` (see ``artifact``) holding every
+parameter and both Adam moment buffers as float64, with ``step_count`` and
+the string ``meta`` map in its metadata.
+"""
 
 import numpy as np
 
+from . import artifact
 from .errors import ContractError, DimensionError
 from .rng import Rng
 from .tensor import Tensor, Tape
@@ -18,7 +22,8 @@ class ParamStore:
 
     Parameters are immutable Tensors; an update replaces the entry.  ``bind``
     attaches every parameter to a tape as a leaf and remembers the binding so
-    ``adam_step`` can look gradients up after ``backward``.
+    ``gradients`` can look them up after ``backward``; pass those to
+    ``adam_step_grads``.
     """
 
     def __init__(self):
@@ -53,18 +58,11 @@ class ParamStore:
         self._bound = leaves
         return leaves
 
-    def unbound(self) -> dict[str, Tensor]:
-        """Plain parameter view for inference (no tape, no gradients)."""
-        return dict(self.params)
-
     def gradients(self) -> dict[str, np.ndarray]:
         tape = self._bound_tape
         if tape is None or tape.gradients is None:
             raise ContractError("no tape bound or backward not run")
         return {name: tape.grad(leaf) for name, leaf in self._bound.items()}
-
-    def n_values(self) -> int:
-        return sum(t.size for t in self.params.values())
 
     def copy(self) -> "ParamStore":
         out = ParamStore()
@@ -98,89 +96,39 @@ def adam_step_grads(store: ParamStore, grads: dict[str, np.ndarray],
         store.params[name] = Tensor(param.array - lr * update)
 
 
-def adam_step(store: ParamStore, lr: float, beta1: float = ADAM_BETA1,
-              beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """Adam update using the gradients of the store's bound tape."""
-    adam_step_grads(store, store.gradients(), lr, beta1, beta2, eps)
-
-
 # ---------------------------------------------------------------------------
-# checkpoint format: text manifest + little-endian float64 blob
+# checkpoint format: one <stem>.npz of float64 parameters and Adam moments
+
+CHECKPOINT_FORMAT = "paramstore-v2"
 
 
-def save_checkpoint(store: ParamStore, stem: str) -> tuple[str, str]:
-    """Write <stem>.manifest and <stem>.blob; round-trips bit-exactly."""
-    names = list(store.params)
-    entries = []
-    blob = bytearray()
-    offset = 0
-
-    def put(tag, name, arr):
-        nonlocal offset
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        entries.append((tag, name, arr.shape, offset))
-        blob.extend(raw)
-        offset += arr.size
-
-    for name in names:
-        put("param", name, store.params[name].array)
-    for name in names:
-        put("adam_m", name, store.adam_m[name])
-    for name in names:
-        put("adam_v", name, store.adam_v[name])
-
-    manifest_path = stem + ".manifest"
-    blob_path = stem + ".blob"
-    lines = ["paramstore-v1", f"step_count={store.step_count}"]
-    for key, value in sorted(store.meta.items()):
-        lines.append(f"meta:{key}={value}")
-    for tag, name, shape, off in entries:
-        shape_txt = ",".join(str(s) for s in shape) if shape else ""
-        lines.append(f"{tag}\t{name}\t{shape_txt}\t{off}")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(blob_path, "wb") as fh:
-        fh.write(bytes(blob))
-    return manifest_path, blob_path
+def save_checkpoint(store: ParamStore, stem: str) -> list[str]:
+    """Write <stem>.npz; round-trips bit-exactly.  Returns [path]."""
+    arrays = {}
+    for name, param in store.params.items():
+        arrays[f"param/{name}"] = param.array
+        arrays[f"adam_m/{name}"] = store.adam_m[name]
+        arrays[f"adam_v/{name}"] = store.adam_v[name]
+    path = stem + ".npz"
+    artifact.save(path, arrays, {
+        "format": CHECKPOINT_FORMAT, "step_count": store.step_count,
+        "params": list(store.params), "meta": store.meta})
+    return [path]
 
 
 def load_checkpoint(stem: str) -> ParamStore:
-    manifest_path = stem + ".manifest"
-    blob_path = stem + ".blob"
-    if not (os.path.exists(manifest_path) and os.path.exists(blob_path)):
-        raise ContractError(f"checkpoint {stem!r} not found")
-    with open(manifest_path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "paramstore-v1":
-        raise ContractError("unrecognized checkpoint manifest header")
-    raw = np.fromfile(blob_path, dtype="<f8")
+    path = stem + ".npz"
+    arrays, meta = artifact.load(path, ())
+    if meta.get("format") != CHECKPOINT_FORMAT:
+        raise ContractError(f"checkpoint {path!r} has an unrecognized format")
     store = ParamStore()
-    for line in lines[1:]:
-        if line.startswith("step_count="):
-            store.step_count = int(line.split("=", 1)[1])
-            continue
-        if line.startswith("meta:"):
-            key, value = line[len("meta:"):].split("=", 1)
-            store.meta[key] = value
-            continue
-        tag, name, shape_txt, off_txt = line.split("\t")
-        shape = tuple(int(s) for s in shape_txt.split(",")) if shape_txt else ()
-        size = int(np.prod(shape)) if shape else 1
-        off = int(off_txt)
-        if off < 0 or off + size > raw.size:
-            raise ContractError(
-                f"checkpoint blob {blob_path!r} is truncated: {name!r} needs "
-                f"values [{off}, {off + size}) of {raw.size}")
-        arr = raw[off:off + size].reshape(shape).astype(np.float64)
-        if tag == "param":
-            store.params[name] = Tensor(arr)
-        elif tag == "adam_m":
-            store.adam_m[name] = arr
-        elif tag == "adam_v":
-            store.adam_v[name] = arr
-        else:
-            raise ContractError(f"unknown checkpoint entry tag {tag!r}")
-    for name in store.params:
-        if name not in store.adam_m or name not in store.adam_v:
-            raise ContractError(f"checkpoint missing moments for {name!r}")
+    store.step_count = meta["step_count"]
+    store.meta = meta["meta"]
+    try:
+        for name in meta["params"]:
+            store.params[name] = Tensor(arrays[f"param/{name}"])
+            store.adam_m[name] = arrays[f"adam_m/{name}"]
+            store.adam_v[name] = arrays[f"adam_v/{name}"]
+    except KeyError as exc:
+        raise ContractError(f"checkpoint {path!r} lacks entry {exc}") from exc
     return store

@@ -484,29 +484,6 @@ def atan2(y, x):
     return _emit("atan2", (y, x), (y.array, x.array), np.arctan2(y.array, x.array))
 
 
-_UNARY = {
-    "tanh": tanh,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "exp": exp,
-    "log": log,
-    "square": square,
-    "neg": neg,
-    "sqrt": sqrt,
-    "sin": sin,
-    "cos": cos,
-    "abs": absolute,
-}
-
-
-def apply_unary(a, kind: str):
-    """Elementwise map by name; unknown kinds are contract errors."""
-    fn = _UNARY.get(kind)
-    if fn is None:
-        raise ContractError(f"unknown unary kind {kind!r}")
-    return fn(a)
-
-
 def matmul(a, b):
     a, b = _lift(a), _lift(b)
     if a.array.ndim != 2 or b.array.ndim != 2:

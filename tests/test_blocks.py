@@ -3,8 +3,7 @@ import pytest
 
 import cfswarm.tensor as T
 from cfswarm.blocks import (SIGMA_FLOOR, FlatBlock, GaussianHead, GnnBlock,
-                            GruCell, Mlp, gaussian_head_forward, gnn_forward,
-                            gru_step, mlp_forward, treatment_head)
+                            GruCell, Mlp, treatment_head)
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.gradcheck import check_blocks
 from cfswarm.optim import ParamStore
@@ -32,7 +31,7 @@ def zero_build(block):
 def test_mlp_zero_params_identity_output_is_zero():
     mlp = Mlp("m", [3, 4, 2])
     store = zero_build(mlp)
-    out = mlp_forward(mlp, store.unbound(), T.Tensor(np.ones((5, 3))))
+    out = mlp(dict(store.params), T.Tensor(np.ones((5, 3))))
     assert np.array_equal(out.array, np.zeros((5, 2)))
 
 
@@ -40,7 +39,7 @@ def test_mlp_single_layer_is_affine():
     mlp = Mlp("m", [3, 2])
     store = build(mlp, seed=3)
     x = Rng(1).uniform_array((4, 3), -1.0, 1.0)
-    out = mlp_forward(mlp, store.unbound(), T.Tensor(x))
+    out = mlp(dict(store.params), T.Tensor(x))
     w = store.params["m.w0"].array
     b = store.params["m.b0"].array
     assert np.max(np.abs(out.array - (x @ w + b))) < 1e-15
@@ -53,7 +52,7 @@ def test_mlp_two_layer_hand_composition():
     p = {k: v.array for k, v in store.params.items()}
     want = 1.0 / (1.0 + np.exp(-(np.tanh(x @ p["m.w0"] + p["m.b0"])
                                  @ p["m.w1"] + p["m.b1"])))
-    got = mlp_forward(mlp, store.unbound(), T.Tensor(x)).array
+    got = mlp(dict(store.params), T.Tensor(x)).array
     assert np.max(np.abs(got - want)) < 1e-15
 
 
@@ -65,15 +64,15 @@ def test_mlp_shape_and_spec_validation():
     mlp = Mlp("m", [3, 2])
     store = build(mlp)
     with pytest.raises(DimensionError):
-        mlp_forward(mlp, store.unbound(), T.Tensor(np.ones((4, 5))))
+        mlp(dict(store.params), T.Tensor(np.ones((4, 5))))
 
 
 def test_mlp_leading_axes_collapse():
     mlp = Mlp("m", [3, 2])
     store = build(mlp, seed=9)
     x = Rng(2).uniform_array((2, 4, 3), -1.0, 1.0)
-    out = mlp_forward(mlp, store.unbound(), T.Tensor(x)).array
-    flat = mlp_forward(mlp, store.unbound(), T.Tensor(x.reshape(8, 3))).array
+    out = mlp(dict(store.params), T.Tensor(x)).array
+    flat = mlp(dict(store.params), T.Tensor(x.reshape(8, 3))).array
     assert out.shape == (2, 4, 2)
     assert np.array_equal(out.reshape(8, 2), flat)
 
@@ -86,8 +85,7 @@ def test_gru_zero_params_halves_hidden():
     cell = GruCell("g", 3, 4)
     store = zero_build(cell)
     h = Rng(4).uniform_array((2, 4), -1.0, 1.0)
-    out = gru_step(cell, store.unbound(), T.Tensor(np.zeros((2, 3))),
-                   T.Tensor(h))
+    out = cell(dict(store.params), T.Tensor(np.zeros((2, 3))), T.Tensor(h))
     assert np.max(np.abs(out.array - 0.5 * h)) < 1e-15
 
 
@@ -98,8 +96,8 @@ def test_gru_bias_only_closed_form():
     bh = np.array([1.0, -1.0, 0.25])
     store.params["g.bz"] = T.Tensor(bz)
     store.params["g.bh"] = T.Tensor(bh)
-    out = gru_step(cell, store.unbound(), T.Tensor(np.zeros((1, 2))),
-                   T.Tensor(np.zeros((1, 3))))
+    out = cell(dict(store.params), T.Tensor(np.zeros((1, 2))),
+               T.Tensor(np.zeros((1, 3))))
     z = 1.0 / (1.0 + np.exp(-bz))
     want = z * np.tanh(bh)
     assert np.max(np.abs(out.array - want)) < 1e-15
@@ -120,8 +118,8 @@ def test_gru_matches_scalar_reference_trace():
     r = sig(x @ p["g.wr"] + h @ p["g.ur"] + p["g.br"])
     cand = np.tanh(x @ p["g.wh"] + (r * h) @ p["g.uh"] + p["g.bh"])
     want = (1.0 - z) * h + z * cand
-    got = gru_step(cell, store.unbound(), T.Tensor(x.reshape(1, 2)),
-                   T.Tensor(h.reshape(1, 2))).array[0]
+    got = cell(dict(store.params), T.Tensor(x.reshape(1, 2)),
+               T.Tensor(h.reshape(1, 2))).array[0]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -132,13 +130,11 @@ def test_gru_matches_scalar_reference_trace():
 def test_gnn_zero_params_bias_image():
     block = GnnBlock("n", n_in=3, n_hidden=4, n_edge=4, n_out=2)
     store = zero_build(block)
-    out = gnn_forward(block, store.unbound(),
-                      T.Tensor(Rng(0).uniform_array((5, 3))))
+    out = block(dict(store.params), T.Tensor(Rng(0).uniform_array((5, 3))))
     assert np.array_equal(out.array, np.zeros((5, 2)))
     # rows identical even with a nonzero f_v bias
     store.params["n.fv.b1"] = T.Tensor(np.array([0.7, -0.3]))
-    out = gnn_forward(block, store.unbound(),
-                      T.Tensor(Rng(0).uniform_array((5, 3))))
+    out = block(dict(store.params), T.Tensor(Rng(0).uniform_array((5, 3))))
     assert np.allclose(out.array, np.tile([0.7, -0.3], (5, 1)))
 
 
@@ -162,7 +158,7 @@ def test_gnn_matches_naive_pair_loop():
                         p["n.fe.w1"], p["n.fe.b1"])
         want[k] = mlp2(agg, p["n.fv.w0"], p["n.fv.b0"],
                        p["n.fv.w1"], p["n.fv.b1"])
-    got = gnn_forward(block, store.unbound(), T.Tensor(nodes)).array
+    got = block(dict(store.params), T.Tensor(nodes)).array
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -173,9 +169,8 @@ def test_gnn_permutation_equivariance():
     for trial in range(50):
         nodes = rng.uniform_array((6, 3), -1.0, 1.0)
         perm = Rng(1000 + trial).permutation(6)
-        base = gnn_forward(block, store.unbound(), T.Tensor(nodes)).array
-        shuffled = gnn_forward(block, store.unbound(),
-                               T.Tensor(nodes[perm])).array
+        base = block(dict(store.params), T.Tensor(nodes)).array
+        shuffled = block(dict(store.params), T.Tensor(nodes[perm])).array
         assert np.max(np.abs(shuffled - base[perm])) <= 1e-9
 
 
@@ -184,7 +179,7 @@ def test_gnn_single_node_sees_zero_messages():
     store = build(block, seed=2)
     p = {k: v.array for k, v in store.params.items()}
     node = Rng(3).uniform_array((1, 3))
-    got = gnn_forward(block, store.unbound(), T.Tensor(node)).array
+    got = block(dict(store.params), T.Tensor(node)).array
     want = np.tanh(np.zeros(4) @ p["n.fv.w0"] + p["n.fv.b0"]) \
         @ p["n.fv.w1"] + p["n.fv.b1"]
     assert np.max(np.abs(got[0] - want)) < 1e-12
@@ -194,10 +189,9 @@ def test_gnn_batched_equals_per_sample():
     block = GnnBlock("n", n_in=2, n_hidden=3, n_edge=3, n_out=2)
     store = build(block, seed=4)
     batch = Rng(5).uniform_array((3, 4, 2), -1.0, 1.0)
-    got = gnn_forward(block, store.unbound(), T.Tensor(batch)).array
+    got = block(dict(store.params), T.Tensor(batch)).array
     for i in range(3):
-        single = gnn_forward(block, store.unbound(),
-                             T.Tensor(batch[i])).array
+        single = block(dict(store.params), T.Tensor(batch[i])).array
         assert np.max(np.abs(got[i] - single)) < 1e-12
 
 
@@ -218,10 +212,10 @@ def test_flat_block_not_equivariant_but_shaped():
     block = FlatBlock("f", n_agents=3, n_in=2, n_hidden=8, n_out=2)
     store = build(block, seed=7)
     nodes = Rng(8).uniform_array((3, 2), -1.0, 1.0)
-    out = block(store.unbound(), T.Tensor(nodes)).array
+    out = block(dict(store.params), T.Tensor(nodes)).array
     assert out.shape == (3, 2)
     perm = np.array([2, 0, 1])
-    swapped = block(store.unbound(), T.Tensor(nodes[perm])).array
+    swapped = block(dict(store.params), T.Tensor(nodes[perm])).array
     assert not np.allclose(swapped, out[perm])
 
 
@@ -232,8 +226,7 @@ def test_flat_block_not_equivariant_but_shaped():
 def test_gaussian_head_zero_weights():
     head = GaussianHead("h", 3, 2)
     store = zero_build(head)
-    mu, sigma = gaussian_head_forward(head, store.unbound(),
-                                      T.Tensor(np.ones((4, 3))))
+    mu, sigma = head(dict(store.params), T.Tensor(np.ones((4, 3))))
     assert np.array_equal(mu.array, np.zeros((4, 2)))
     want = np.log(2.0) + SIGMA_FLOOR  # softplus(0) + floor
     assert np.max(np.abs(sigma.array - want)) < 1e-15
@@ -244,8 +237,7 @@ def test_gaussian_head_sigma_floor():
     head = GaussianHead("h", 1, 1)
     store = zero_build(head)
     store.params["h.bsig"] = T.Tensor(np.array([-50.0]))
-    _, sigma = gaussian_head_forward(head, store.unbound(),
-                                     T.Tensor(np.zeros((1, 1))))
+    _, sigma = head(dict(store.params), T.Tensor(np.zeros((1, 1))))
     assert sigma.array[0, 0] == pytest.approx(SIGMA_FLOOR, rel=1e-9)
     assert sigma.array[0, 0] > 0.0
 
@@ -253,7 +245,7 @@ def test_gaussian_head_sigma_floor():
 def test_treatment_head_zero_weights_half():
     mlp = Mlp("a", [4, 3, 1])
     store = zero_build(mlp)
-    prob, logits = treatment_head(mlp, store.unbound(),
+    prob, logits = treatment_head(mlp, dict(store.params),
                                   T.Tensor(np.ones((2, 4))))
     assert np.array_equal(prob.array, np.full((2, 1), 0.5))
     assert np.array_equal(logits.array, np.zeros((2, 1)))
@@ -263,8 +255,8 @@ def test_treatment_head_forward_independent_of_scale():
     mlp = Mlp("a", [4, 3, 1])
     store = build(mlp, seed=12)
     z = Rng(9).uniform_array((3, 4), -1.0, 1.0)
-    p1, _ = treatment_head(mlp, store.unbound(), T.Tensor(z), lambda_grl=0.1)
-    p2, _ = treatment_head(mlp, store.unbound(), T.Tensor(z), lambda_grl=1.0)
+    p1, _ = treatment_head(mlp, dict(store.params), T.Tensor(z), lambda_grl=0.1)
+    p2, _ = treatment_head(mlp, dict(store.params), T.Tensor(z), lambda_grl=1.0)
     assert np.array_equal(p1.array, p2.array)
 
 

@@ -2,19 +2,25 @@
 
 import csv
 import json
+import shutil
+import struct
 import subprocess
 import sys
+import zipfile
 
 import numpy as np
 import pytest
 
 import cfswarm.tensor as T
+from cfswarm import artifact
 from cfswarm.cli import main
 from cfswarm.config import load_config, require_sim_match
 from cfswarm.boids import SimConfig
 from cfswarm.data import load_dataset
-from cfswarm.errors import ConfigError
+from cfswarm.errors import ConfigError, ContractError
+from cfswarm.metrics import read_eval_dump
 from cfswarm.model import ModelVariant
+from cfswarm.optim import load_checkpoint
 
 
 TOY_INI = """\
@@ -118,6 +124,10 @@ def test_load_config_weight_aliases(tmp_path):
     ("[sim]\nn_steps = 5\nburn_in = 9\n", "burn_in"),
     ("[data]\nn_train = 0\n", "at least one episode"),
     ("[data]\nuntreated_fraction = 1.0\n", "untreated_fraction"),
+    ("[data]\nn_train = \"x\"\n", "data.n_train must be a number"),
+    ("[data]\nn_train = [3]\n", "data.n_train must be a number"),
+    ("[data]\nuntreated_fraction = \"a\"\n",
+     "data.untreated_fraction must be a number"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -167,7 +177,7 @@ def test_gen_writes_dataset_and_manifest(pipeline):
     assert info["command"] == "gen"
     assert info["config"]["variant"] == "tg_crn"
     assert info["seed"]["data"] == 0
-    assert "manifest.txt" in info["files"]
+    assert "dataset.npz" in info["files"]
     assert all(len(digest) == 64 for digest in info["files"].values())
     assert "run_manifest.json" not in info["files"]
 
@@ -184,8 +194,7 @@ def test_gen_rerun_is_checksum_identical(pipeline, tmp_path):
 def test_train_outputs_and_rerun_identical(pipeline, tmp_path):
     root = pipeline["root"]
     out = root / "train"
-    for name in ("loss_log.csv", "best.manifest", "best.blob",
-                 "last.manifest", "last.blob"):
+    for name in ("loss_log.csv", "best.npz", "last.npz"):
         assert (out / name).exists(), name
     info = manifest(out)
     assert info["command"] == "train"
@@ -211,7 +220,8 @@ def test_eval_outputs_and_rerun_identical(pipeline, tmp_path):
     assert report["n_episodes"] == 2
     assert report["variant"] == "tg_crn"
     assert manifest(out1)["files"] == manifest(out2)["files"]
-    assert "y_pred.bin" in manifest(out1)["files"]
+    assert "dump.npz" in manifest(out1)["files"]
+    assert read_eval_dump(out1)["y_pred"].shape == (2, 4, 8)
 
 
 def test_eval_honors_explicit_checkpoint(pipeline, tmp_path, capsys):
@@ -224,12 +234,9 @@ def test_eval_honors_explicit_checkpoint(pipeline, tmp_path, capsys):
 
 
 def test_eval_rejects_truncated_checkpoint(pipeline, tmp_path, capsys):
-    src = pipeline["root"] / "train" / "last"
+    data = (pipeline["root"] / "train" / "last.npz").read_bytes()
     stem = tmp_path / "cut"
-    (tmp_path / "cut.manifest").write_text(
-        src.with_suffix(".manifest").read_text())
-    blob = src.with_suffix(".blob").read_bytes()
-    (tmp_path / "cut.blob").write_bytes(blob[:len(blob) // 2])
+    (tmp_path / "cut.npz").write_bytes(data[:len(data) // 2])
     code = main(["eval", "--config", pipeline["config"],
                  "--out", str(tmp_path / "e"), "--checkpoint", str(stem)])
     assert code == 1
@@ -241,17 +248,85 @@ def test_cf_rollout_dump(pipeline, tmp_path):
     code = main(["cf-rollout", "--config", pipeline["config"],
                  "--out", str(out)])
     assert code == 0
-    text = (out / "manifest.txt").read_text()
-    assert "format = cf-rollout-v1" in text
-    assert "arms = 5 6 7 None" in text
+    assert (out / "dump.npz").exists()
+    arrays, meta = artifact.load(out / "dump.npz", ())
+    assert meta["format"] == "cf-rollout-v2"
+    assert meta["arms"] == [5, 6, 7, None]
     # n_test=2, arms 3+1, T=8
-    assert "y_pred = 2 4 8" in text
+    assert arrays["y_pred"].shape == (2, 4, 8)
     for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
                  "best_timing"):
-        assert (out / f"{name}.bin").exists()
-    y = np.frombuffer((out / "y_pred.bin").read_bytes(), dtype="<f8")
-    assert y.shape == (2 * 4 * 8,)
+        assert name in arrays
+    y = arrays["y_pred"]
     assert np.all((y > 0.0) & (y < 1.0))
+
+
+@pytest.fixture(scope="module")
+def eval_dir(pipeline, tmp_path_factory):
+    out = tmp_path_factory.mktemp("eval")
+    assert main(["eval", "--config", pipeline["config"],
+                 "--out", str(out)]) == 0
+    return out
+
+
+def corrupt(path, how, drop):
+    """Damage one artifact file in place."""
+    data = path.read_bytes()
+    if how == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif how == "flipped":
+        # one bit in the middle of the largest entry's array data
+        with zipfile.ZipFile(path) as zf:
+            entry = max((e for e in zf.infolist()
+                         if e.filename != artifact.META_KEY + ".npy"),
+                        key=lambda e: e.file_size)
+        off = entry.header_offset
+        name_len, extra_len = struct.unpack("<HH", data[off + 26:off + 30])
+        pos = off + 30 + name_len + extra_len + entry.file_size // 2
+        path.write_bytes(data[:pos] + bytes([data[pos] ^ 0x10])
+                         + data[pos + 1:])
+    elif how == "junk":
+        path.write_bytes(bytes(range(256)) * 4)
+    else:
+        arrays, meta = artifact.load(path, ())
+        del arrays[drop(meta)]
+        artifact.save(path, arrays, meta)
+
+
+ARTIFACTS = {
+    # kind: (directory under the pipeline, file, loader, required key)
+    "dataset": ("dataset", "dataset.npz", load_dataset,
+                lambda meta: "train_outcome"),
+    "checkpoint": ("train", "last.npz",
+                   lambda d: load_checkpoint(str(d / "last")),
+                   lambda meta: "param/" + meta["params"][0]),
+    "eval dump": (None, "dump.npz", read_eval_dump, lambda meta: "y_pred"),
+}
+
+
+@pytest.mark.parametrize("how", ["truncated", "flipped", "junk", "missing"])
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
+                                            kind, how):
+    sub, name, loader, drop = ARTIFACTS[kind]
+    src = eval_dir if sub is None else pipeline["root"] / sub
+    shutil.copy(src / name, tmp_path / name)
+    loader(tmp_path)  # the intact copy loads
+    corrupt(tmp_path / name, how, drop)
+    with pytest.raises(ContractError):
+        loader(tmp_path)
+
+
+def test_eval_rejects_corrupt_checkpoint(pipeline, tmp_path, capsys):
+    shutil.copy(pipeline["root"] / "train" / "last.npz", tmp_path / "bad.npz")
+    corrupt(tmp_path / "bad.npz", "flipped", None)
+    code = main(["eval", "--config", pipeline["config"],
+                 "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(tmp_path / "bad")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "CRC" in err
+    assert "Traceback" not in err
 
 
 def test_sweep_with_grid_file(pipeline, tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cfswarm.tensor as T
-from cfswarm.blocks import gnn_forward, treatment_head
+from cfswarm.blocks import treatment_head
 from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.model import (CrnModel, ModelDims, ModelVariant, predict_ite,
@@ -180,7 +180,7 @@ def test_prior_step_composes_gnn_and_head():
     rng = np.random.default_rng(1)
     h = rng.normal(size=(2, cfg.n_agents, SMALL.hidden))
     mu, sig = model.prior_step(leaves, T._lift(h))
-    feat = gnn_forward(model.prior_net, leaves, T._lift(h))
+    feat = model.prior_net(leaves, T._lift(h))
     mu2, sig2 = model.prior_head(leaves, feat)
     assert np.array_equal(mu.array, mu2.array)
     assert np.array_equal(sig.array, sig2.array)
@@ -197,15 +197,13 @@ def test_encode_and_decode_steps_compose():
 
     mu, sig = model.encode_step(leaves, x_sc, h)
     inp = np.concatenate([x_sc, h], axis=2)
-    mu2, sig2 = model.enc_head(leaves, gnn_forward(model.enc_net, leaves,
-                                                   T._lift(inp)))
+    mu2, sig2 = model.enc_head(leaves, model.enc_net(leaves, T._lift(inp)))
     assert np.array_equal(mu.array, mu2.array)
     assert np.array_equal(sig.array, sig2.array)
 
     mu, sig = model.decode_step(leaves, z, h)
     inp = np.concatenate([z, h], axis=2)
-    mu2, sig2 = model.dec_head(leaves, gnn_forward(model.dec_net, leaves,
-                                                   T._lift(inp)))
+    mu2, sig2 = model.dec_head(leaves, model.dec_net(leaves, T._lift(inp)))
     assert np.array_equal(mu.array, mu2.array)
     assert np.array_equal(sig.array, sig2.array)
 
