@@ -70,7 +70,7 @@ def validation_loss(model: CrnModel, store: ParamStore, split: Split,
         _, parts = _episode_loss(model, leaves, split, idx, weights,
                                  "train", None)
         for k in LOG_FIELDS:
-            acc[k] += parts[k if k != "total" else "total"] * len(idx) / n
+            acc[k] += parts[k] * len(idx) / n
     return acc
 
 

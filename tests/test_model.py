@@ -578,3 +578,124 @@ def test_predict_ite_only_burn_in_prefix_matters():
     b = predict_ite(model, store, noisy_l, noisy_g)
     assert np.array_equal(a["y_all"], b["y_all"])
     assert np.array_equal(a["tau_hat"], b["tau_hat"])
+
+
+def test_predict_ite_rejects_bad_arms_before_any_step():
+    cfg = small_cfg()
+    model, store, _ = bound_model(ModelVariant.TGV_CRN, cfg, seed=25)
+    x_local, x_global, _ = batch_from_sim(cfg, 2, seed=25)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before the arms were checked")
+
+    model.step = no_step
+    for arms in ([], [cfg.n_steps], [-1], [5, cfg.n_steps + 3]):
+        with pytest.raises(ContractError):
+            predict_ite(model, store, x_local, x_global, arms=arms)
+
+
+def fork_cfg():
+    # desk-length episode with few agents: room for arms 3, 9 and 11
+    return SimConfig(n_agents=4, n_steps=14, burn_in=9, t_i_start=9,
+                     t_i_end=13).validate()
+
+
+def per_arm_reference(model, store, x_local, x_global, arms, chunk):
+    """One full infer-mode rollout per arm, chunked as predict_ite chunks."""
+    n, n_steps = x_local.shape[0], x_local.shape[1]
+    all_arms = list(arms) + [None]
+    ref = {"y_all": np.zeros((n, len(all_arms), n_steps)),
+           "a_all": np.zeros((n, len(all_arms), n_steps)),
+           "x_loc_hat": np.zeros((n, len(all_arms), n_steps,
+                                  model.cfg.n_agents, 5)),
+           "x_g_hat": np.zeros((n, len(all_arms), n_steps, 1))}
+    for start in range(0, n, chunk):
+        rows = slice(start, min(start + chunk, n))
+        for ai, arm in enumerate(all_arms):
+            leaves = store.bind(T.Tape(record=False))
+            roll = model.rollout(
+                leaves, x_local[rows], x_global[rows],
+                treatment_matrix(rows.stop - start, n_steps, arm), "infer")
+            ref["y_all"][rows, ai] = roll.stacked("y_hat")[:, :, 0]
+            ref["a_all"][rows, ai] = roll.stacked("a_prob")[:, :, 0]
+            ref["x_loc_hat"][rows, ai] = roll.stacked("x_loc_hat")
+            ref["x_g_hat"][rows, ai] = roll.stacked("x_g_hat")
+    y_final = ref["y_all"][:, :, -1]
+    ref["tau_hat"] = y_final[:, :-1] - y_final[:, -1:]
+    ref["best_timing"] = np.array(arms)[np.argmax(y_final[:, :-1], axis=1)]
+    return ref
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_predict_ite_matches_per_arm_rollouts(variant):
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=26)
+    x_local, x_global, _ = batch_from_sim(cfg, 5, seed=26)
+    # the default window, an arm inside burn-in, unsorted duplicate arms
+    for arms in (cfg.intervention_steps, [3], [11, 9, 9]):
+        got = predict_ite(model, store, x_local, x_global, arms=arms,
+                          chunk=2, trace=True)
+        ref = per_arm_reference(model, store, x_local, x_global, arms, 2)
+        assert got["arms"] == list(arms) + [None]
+        for key, val in ref.items():
+            assert np.array_equal(got[key], val), (arms, key)
+
+
+def test_predict_ite_mc_shares_trunk_draws_before_each_start():
+    cfg = fork_cfg()
+    for variant in (ModelVariant.TGV_CRN, ModelVariant.GV_CRN):
+        model, store, _ = bound_model(variant, cfg, seed=27)
+        x_local, x_global, _ = batch_from_sim(cfg, 3, seed=27)
+        arms, n_pass, seed = [11, 3, 9], 2, 8
+        got = predict_ite(model, store, x_local, x_global, arms=arms,
+                          mc_samples=n_pass, seed=seed, trace=True)
+        n_arms = len(arms) + 1
+        # never-treated column: full sampled rollouts under that arm's keys
+        acc = {"y_hat": 0.0, "a_prob": 0.0, "x_loc_hat": 0.0, "x_g_hat": 0.0}
+        for p in range(n_pass):
+            leaves = store.bind(T.Tape(record=False))
+            rng = Rng(derive_seed(seed, "ite-mc", p * n_arms + n_arms - 1))
+            roll = model.rollout(
+                leaves, x_local, x_global,
+                treatment_matrix(3, cfg.n_steps, None), "infer", rng=rng,
+                sample_latents=True)
+            for name in acc:
+                acc[name] = acc[name] + roll.stacked(name) / n_pass
+        assert np.array_equal(got["y_all"][:, -1], acc["y_hat"][:, :, 0])
+        assert np.array_equal(got["a_all"][:, -1], acc["a_prob"][:, :, 0])
+        assert np.array_equal(got["x_loc_hat"][:, -1], acc["x_loc_hat"])
+        assert np.array_equal(got["x_g_hat"][:, -1], acc["x_g_hat"])
+        # each treated arm is the trunk until its start, then its own draws
+        for ai, s in enumerate(arms):
+            for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+                assert np.array_equal(got[key][:, ai, :s],
+                                      got[key][:, -1, :s]), (s, key)
+            assert not np.array_equal(got["a_all"][:, ai, s:],
+                                      got["a_all"][:, -1, s:])
+
+
+def test_predict_ite_degenerate_worlds_stay_finite():
+    worlds = []
+    for k in (1, 2):
+        cfg = SimConfig(n_agents=k, n_steps=8, burn_in=5, t_i_start=5,
+                        t_i_end=7).validate()
+        x_local, x_global, _ = batch_from_sim(cfg, 2, seed=28)
+        worlds.append((cfg, x_local, x_global))
+    cfg = small_cfg()
+    x_local, x_global, _ = batch_from_sim(cfg, 2, seed=29)
+    x_local[:, :, :, 0:2] = x_local[:, :, :1, 0:2]   # every agent on one spot
+    worlds.append((cfg, x_local, x_global))
+    T.set_strict_finite(True)
+    try:
+        for variant in (ModelVariant.TGV_CRN, ModelVariant.GV_CRN,
+                        ModelVariant.RNN_BASELINE):
+            for cfg, x_local, x_global in worlds:
+                model = CrnModel(variant, cfg, SMALL)
+                store = model.init_store(30)
+                out = predict_ite(model, store, x_local, x_global, chunk=1,
+                                  mc_samples=2, trace=True)
+                for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+                    assert np.all(np.isfinite(out[key])), (variant, key)
+                assert np.all((out["y_all"] > 0.0) & (out["y_all"] < 1.0))
+    finally:
+        T.set_strict_finite(False)
