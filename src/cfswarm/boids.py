@@ -8,7 +8,10 @@ degrees and speed is constant.  The outcome signal is the group's mean
 angular momentum about its centroid.
 
 Everything here is plain float64 numpy; the same step is re-implemented
-naively in the tests as an independent oracle.
+naively in the tests as an independent oracle.  The vectorized functions
+accept any leading batch shape, so one `step` call advances a batch of rows
+(episodes or counterfactual arms) that share nothing but the arithmetic:
+each row comes out bitwise as if stepped alone.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -36,7 +39,6 @@ class SimConfig:
     burn_in: int = 9
     t_i_start: int = 9
     t_i_end: int = 13
-    seed: int = 0
 
     def validate(self) -> "SimConfig":
         if self.n_agents < 1:
@@ -87,10 +89,11 @@ class BoidState:
 
 
 def _pairwise(positions: np.ndarray):
-    """diff[k, j] = r_j - r_k and the matching distances (inf on diagonal)."""
-    diff = positions[None, :, :] - positions[:, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    np.fill_diagonal(dist, np.inf)
+    """diff[..., k, j] = r_j - r_k and the matching distances (inf on diagonal)."""
+    diff = positions[..., None, :, :] - positions[..., :, None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    idx = np.arange(positions.shape[-2])
+    dist[..., idx, idx] = np.inf
     return diff, dist
 
 
@@ -106,44 +109,49 @@ def zone_neighbors(state: BoidState, k: int, r_o: float, cfg: SimConfig):
 
 def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Normalize rows; rows with ~zero norm fall back to the given direction."""
-    norms = np.sqrt(np.sum(v * v, axis=1))
+    norms = np.sqrt(np.sum(v * v, axis=-1))
     ok = norms > _TINY
-    out = np.where(ok[:, None], v / np.where(ok, norms, 1.0)[:, None], fallback)
+    out = np.where(ok[..., None], v / np.where(ok, norms, 1.0)[..., None],
+                   fallback)
     return out
 
 
 def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
-    """Zone rule for every agent at once. Rows are unit vectors."""
+    """Zone rule for every agent at once. Rows are unit vectors.
+
+    `r_o` is a scalar or one orientation radius per batch row.
+    """
     diff, dist = _pairwise(positions)
     with np.errstate(invalid="ignore"):
-        unit = diff / dist[:, :, None]
+        unit = diff / dist[..., None]
     unit = np.where(np.isfinite(unit), unit, 0.0)
 
+    r_o = np.asarray(r_o)[..., None, None]
     rep = dist < cfg.repulsion_radius
     orient = (dist > cfg.repulsion_radius) & (dist <= r_o)
     attract = (dist > r_o) & (dist <= cfg.attraction_radius)
 
-    n_r = rep.sum(axis=1)
-    n_o = orient.sum(axis=1)
-    n_a = attract.sum(axis=1)
+    n_r = rep.sum(axis=-1)
+    n_o = orient.sum(axis=-1)
+    n_a = attract.sum(axis=-1)
 
-    rep_vec = (unit * rep[:, :, None]).sum(axis=1)
+    rep_vec = (unit * rep[..., None]).sum(axis=-2)
     rep_dir = _unit_rows(-rep_vec, headings)
 
-    o_counts = np.where(n_o > 0, n_o, 1)[:, None]
-    o_term = (headings[None, :, :] * orient[:, :, None]).sum(axis=1) / o_counts
+    o_counts = np.where(n_o > 0, n_o, 1)[..., None]
+    o_term = (headings[..., None, :, :] * orient[..., None]).sum(axis=-2) / o_counts
     o_hat = _unit_rows(o_term, headings)
 
-    a_counts = np.where(n_a > 0, n_a, 1)[:, None]
-    a_term = (unit * attract[:, :, None]).sum(axis=1) / a_counts
+    a_counts = np.where(n_a > 0, n_a, 1)[..., None]
+    a_term = (unit * attract[..., None]).sum(axis=-2) / a_counts
     a_hat = _unit_rows(a_term, headings)
 
     both = (n_o > 0) & (n_a > 0)
     blend = _unit_rows(0.5 * (o_hat + a_hat), headings)
-    social = np.where(both[:, None], blend,
-                      np.where((n_o > 0)[:, None], o_hat,
-                               np.where((n_a > 0)[:, None], a_hat, headings)))
-    return np.where((n_r > 0)[:, None], rep_dir, social)
+    social = np.where(both[..., None], blend,
+                      np.where((n_o > 0)[..., None], o_hat,
+                               np.where((n_a > 0)[..., None], a_hat, headings)))
+    return np.where((n_r > 0)[..., None], rep_dir, social)
 
 
 def desired_direction(state: BoidState, k: int, r_o: float, cfg: SimConfig) -> np.ndarray:
@@ -170,33 +178,36 @@ def clamp_turn(d_old: np.ndarray, d_desired: np.ndarray, max_turn_deg: float) ->
 
 
 def _clamp_turns(headings: np.ndarray, desired: np.ndarray, beta: float) -> np.ndarray:
-    cross = headings[:, 0] * desired[:, 1] - headings[:, 1] * desired[:, 0]
-    dot = headings[:, 0] * desired[:, 0] + headings[:, 1] * desired[:, 1]
-    theta = np.arctan2(cross, dot)
+    theta = _signed_turns(headings, desired)
     within = np.abs(theta) <= beta
     ang = np.where(theta > 0, beta, -beta)
     c, s = np.cos(ang), np.sin(ang)
-    rotated = np.stack([c * headings[:, 0] - s * headings[:, 1],
-                        s * headings[:, 0] + c * headings[:, 1]], axis=1)
-    return np.where(within[:, None], desired, rotated)
+    rotated = np.stack([c * headings[..., 0] - s * headings[..., 1],
+                        s * headings[..., 0] + c * headings[..., 1]], axis=-1)
+    return np.where(within[..., None], desired, rotated)
 
 
-def mean_angular_momentum(state: BoidState) -> float:
+def mean_angular_momentum(state: BoidState):
     """|sum_k rhat_k x d_k| / K about the group centroid, in [0, 1].
 
-    Agents sitting exactly on the centroid contribute zero.
+    Agents sitting exactly on the centroid contribute zero.  A (K, 2) state
+    gives a float, a batch of states one value per row.
     """
-    centroid = state.positions.mean(axis=0)
-    rel = state.positions - centroid
-    norms = np.sqrt(np.sum(rel * rel, axis=1))
+    centroid = state.positions.mean(axis=-2)
+    rel = state.positions - centroid[..., None, :]
+    norms = np.sqrt(np.sum(rel * rel, axis=-1))
     ok = norms > 0.0
-    rhat = np.where(ok[:, None], rel / np.where(ok, norms, 1.0)[:, None], 0.0)
-    cross = rhat[:, 0] * state.headings[:, 1] - rhat[:, 1] * state.headings[:, 0]
-    return float(np.abs(cross.sum()) / state.positions.shape[0])
+    rhat = np.where(ok[..., None], rel / np.where(ok, norms, 1.0)[..., None], 0.0)
+    cross = rhat[..., 0] * state.headings[..., 1] - rhat[..., 1] * state.headings[..., 0]
+    out = np.abs(cross.sum(axis=-1)) / state.positions.shape[-2]
+    return float(out) if out.ndim == 0 else out
 
 
-def step(state: BoidState, r_o: float, cfg: SimConfig) -> BoidState:
+def step(state: BoidState, r_o, cfg: SimConfig) -> BoidState:
     """Advance every agent one time step of length cfg.dt.
+
+    `state` is one (K, 2) world or a batch (..., K, 2) of independent rows;
+    `r_o` is a scalar or one orientation radius per row.
 
     Processing order per agent: zone rule, boundary override, turn limit,
     renormalize, integrate, and finally a hard clip into the box (the
@@ -209,13 +220,13 @@ def step(state: BoidState, r_o: float, cfg: SimConfig) -> BoidState:
     # an agent whose straight continuation leaves the box within two steps
     # heads for the center instead
     lookahead = pos + (2.0 * cfg.speed * cfg.dt) * d_old
-    exiting = np.any(np.abs(lookahead) > cfg.box_half, axis=1)
+    exiting = np.any(np.abs(lookahead) > cfg.box_half, axis=-1)
     center_dir = _unit_rows(-pos, desired)
-    desired = np.where(exiting[:, None], center_dir, desired)
+    desired = np.where(exiting[..., None], center_dir, desired)
 
     new_d = _clamp_turns(d_old, desired, cfg.max_turn_rad)
-    norms = np.sqrt(np.sum(new_d * new_d, axis=1))
-    new_d = new_d / norms[:, None]
+    norms = np.sqrt(np.sum(new_d * new_d, axis=-1))
+    new_d = new_d / norms[..., None]
     new_pos = np.clip(pos + (cfg.speed * cfg.dt) * new_d,
                       -cfg.box_half, cfg.box_half)
     return BoidState(new_pos, new_d)
@@ -231,76 +242,125 @@ def initial_state(cfg: SimConfig, rng: Rng) -> BoidState:
 
 
 def _signed_turns(d_prev: np.ndarray, d_new: np.ndarray) -> np.ndarray:
-    cross = d_prev[:, 0] * d_new[:, 1] - d_prev[:, 1] * d_new[:, 0]
-    dot = d_prev[:, 0] * d_new[:, 0] + d_prev[:, 1] * d_new[:, 1]
+    cross = d_prev[..., 0] * d_new[..., 1] - d_prev[..., 1] * d_new[..., 0]
+    dot = d_prev[..., 0] * d_new[..., 0] + d_prev[..., 1] * d_new[..., 1]
     return np.arctan2(cross, dot)
 
 
 @dataclass
 class TrajectorySample:
-    """One simulated episode.
+    """Simulated episodes: one (T, ...) episode from `simulate`, or a stack
+    with leading (episode, arm) axes from `simulate_batch`.
 
     x_local[t] holds per-agent (position xy, velocity xy, signed heading
     change) at step t; x_global[t] is the group's mean angular momentum;
     outcome[t] is that momentum one step later.  treatment[t] flips to 1 at
-    the intervention step and stays on.
+    the intervention step and stays on.  `intervention_step` and `seed`
+    describe a single episode.
     """
 
-    x_local: np.ndarray        # (T, K, 5)
-    x_global: np.ndarray       # (T, 1)
-    treatment: np.ndarray      # (T,) uint8
-    outcome: np.ndarray        # (T,)
+    x_local: np.ndarray        # (..., T, K, 5)
+    x_global: np.ndarray       # (..., T, 1)
+    treatment: np.ndarray      # (..., T) uint8
+    outcome: np.ndarray        # (..., T)
     intervention_step: int | None = None
     seed: int = 0
 
     def validate(self, cfg: SimConfig | None = None) -> "TrajectorySample":
-        t, k, f = self.x_local.shape
+        *lead, t, k, f = self.x_local.shape
         if f != 5:
             raise DimensionError("x_local must have 5 features per agent")
-        if self.x_global.shape != (t, 1) or self.outcome.shape != (t,):
+        if self.x_global.shape != (*lead, t, 1) or \
+                self.outcome.shape != (*lead, t):
             raise DimensionError("inconsistent trajectory lengths")
-        if self.treatment.shape != (t,):
+        if self.treatment.shape != (*lead, t):
             raise DimensionError("treatment must have one flag per step")
-        if np.any(np.diff(self.treatment.astype(np.int64)) < 0):
+        if np.any(np.diff(self.treatment.astype(np.int64), axis=-1) < 0):
             raise ContractError("treatment must be nondecreasing over time")
         if cfg is not None and (t != cfg.n_steps or k != cfg.n_agents):
             raise DimensionError("trajectory does not match the configuration")
         return self
 
 
+def simulate_batch(cfg: SimConfig, seeds, starts, forks=()) -> TrajectorySample:
+    """Roll a batch of episodes in one loop, plus arms forked from them.
+
+    Episode i (seed `seeds[i]`) runs from t = 0 under absorbing treatment
+    from `starts[i]` (None: never).  Each start s in `forks` (ascending, and
+    no later than any episode's own start) adds one row per episode that
+    joins the batch at step s as a copy of the episode's row: its state, last
+    turn and recorded prefix.  Treatment is absorbing, so up to step s that
+    row is exactly what start s would have produced, and the fork equals the
+    episode re-simulated under start s.  The desk world's six arms (starts
+    9..13 plus never) cost T + sum(T - s) = 29 row-steps per episode instead
+    of 6 T = 84.
+
+    Returns arrays with leading (episode, arm) axes; the arms are `forks` in
+    order, then each episode's own start.  Every row is stepped by the same
+    elementwise and per-row arithmetic it would see alone, so it is bitwise
+    independent of the batch around it: `simulate` is the one-row case.
+    """
+    cfg.validate()
+    for s in [*starts, *forks]:
+        if s is not None and s not in cfg.intervention_steps:
+            raise ConfigError(f"intervention step {s} outside the window")
+    own_start = np.array([cfg.n_steps if s is None else s for s in starts])
+    if None in forks or list(forks) != sorted(set(forks)) \
+            or max(forks, default=0) > own_start.min():
+        raise ContractError("forks must ascend and start no later than every "
+                            "episode's own start")
+
+    b, k, t_total = len(seeds), cfg.n_agents, cfg.n_steps
+    # arm-major buffers, each episode's own row first; momentum[..., t] is
+    # the momentum entering step t, so outcome[t] = momentum[t + 1]
+    arm_start = np.stack([own_start] + [np.full(b, s) for s in forks])
+    x_local = np.zeros((len(arm_start), b, t_total, k, 5))
+    momentum = np.zeros((len(arm_start), b, t_total + 1))
+    inits = [initial_state(cfg, Rng(derive_seed(s, "boid-init"))) for s in seeds]
+    state = BoidState(np.stack([s.positions for s in inits])[None],
+                      np.stack([s.headings for s in inits])[None])
+    dtheta = np.zeros((1, b, k))
+    momentum[0, :, 0] = mean_angular_momentum(state)[0]
+
+    for t in range(t_total):
+        live = len(dtheta)
+        if live < len(arm_start) and forks[live - 1] == t:
+            x_local[live, :, :t] = x_local[0, :, :t]
+            momentum[live, :, :t + 1] = momentum[0, :, :t + 1]
+            state = BoidState(np.concatenate([state.positions, state.positions[:1]]),
+                              np.concatenate([state.headings, state.headings[:1]]))
+            dtheta = np.concatenate([dtheta, dtheta[:1]])
+            live += 1
+        x_local[:live, :, t, :, 0:2] = state.positions
+        x_local[:live, :, t, :, 2:4] = cfg.speed * state.headings
+        x_local[:live, :, t, :, 4] = dtheta
+        r_o = np.where(arm_start[:live] <= t, cfg.orientation_radius_treated,
+                       cfg.orientation_radius)
+        nxt = step(state, r_o, cfg)
+        dtheta = _signed_turns(state.headings, nxt.headings)
+        momentum[:live, :, t + 1] = mean_angular_momentum(nxt)
+        state = nxt
+
+    treatment = (np.arange(t_total) >= arm_start[..., None]).astype(np.uint8)
+    order = [*range(1, len(arm_start)), 0]
+
+    def episode_major(arr):
+        return np.moveaxis(arr[order], 0, 1)
+
+    return TrajectorySample(
+        episode_major(x_local), episode_major(momentum[..., :-1, None]),
+        episode_major(treatment), episode_major(momentum[..., 1:])).validate(cfg)
+
+
 def simulate(cfg: SimConfig, seed: int, intervention: int | None = None) -> TrajectorySample:
     """Roll one episode; `intervention` is the absorbing treatment step or None.
 
-    Identical (cfg, seed, intervention) invocations are bitwise identical, and
-    two runs differing only in `intervention` coincide on every step before
-    the earlier treatment start.
+    This is the one-row case of `simulate_batch`.  Identical (cfg, seed,
+    intervention) invocations are bitwise identical, and two runs differing
+    only in `intervention` coincide on every step before the earlier
+    treatment start.
     """
-    cfg.validate()
-    if intervention is not None and intervention not in cfg.intervention_steps:
-        raise ConfigError(f"intervention step {intervention} outside the window")
-    rng = Rng(derive_seed(seed, "boid-init"))
-    state = initial_state(cfg, rng)
-
-    t_total = cfg.n_steps
-    k = cfg.n_agents
-    x_local = np.zeros((t_total, k, 5))
-    x_global = np.zeros((t_total, 1))
-    outcome = np.zeros(t_total)
-    treatment = np.zeros(t_total, dtype=np.uint8)
-    dtheta = np.zeros(k)
-
-    for t in range(t_total):
-        treated = intervention is not None and t >= intervention
-        treatment[t] = 1 if treated else 0
-        x_local[t, :, 0:2] = state.positions
-        x_local[t, :, 2:4] = cfg.speed * state.headings
-        x_local[t, :, 4] = dtheta
-        x_global[t, 0] = mean_angular_momentum(state)
-        r_o = cfg.orientation_radius_treated if treated else cfg.orientation_radius
-        nxt = step(state, r_o, cfg)
-        dtheta = _signed_turns(state.headings, nxt.headings)
-        outcome[t] = mean_angular_momentum(nxt)
-        state = nxt
-
-    return TrajectorySample(x_local, x_global, treatment, outcome,
-                            intervention_step=intervention, seed=seed).validate(cfg)
+    rows = simulate_batch(cfg, [seed], [intervention])
+    return TrajectorySample(rows.x_local[0, 0], rows.x_global[0, 0],
+                            rows.treatment[0, 0], rows.outcome[0, 0],
+                            intervention_step=intervention, seed=seed)

@@ -91,9 +91,9 @@ def _apply(obj, section: str, items: dict[str, str]) -> None:
         if isinstance(current, bool):
             value = bool(value)
         elif isinstance(current, (int, float)) and \
-                not isinstance(value, (int, float)):
+                (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{section}.{key} must be a number, not {raw!r}")
-        elif isinstance(current, int) and not isinstance(value, bool):
+        elif isinstance(current, int):
             if isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"{section}.{key} must be an integer")
             value = int(value)

@@ -5,8 +5,8 @@ import pytest
 
 from cfswarm.boids import (BoidState, SimConfig, clamp_turn,
                            desired_direction, initial_state,
-                           mean_angular_momentum, simulate, step,
-                           zone_neighbors)
+                           mean_angular_momentum, simulate, simulate_batch,
+                           step, zone_neighbors)
 from cfswarm.errors import ConfigError, ContractError
 from cfswarm.rng import Rng
 
@@ -284,6 +284,43 @@ def test_step_matches_scalar_oracle(seed):
         assert np.max(np.abs(got.headings - head)) < 1e-12
 
 
+def _batch_cases():
+    """(cfg, positions (B, K, 2), headings (B, K, 2)) batches."""
+    rng = Rng(2024)
+    cases = []
+    for k in (1, 2, 20):
+        cfg = SimConfig(n_agents=k)
+        for b in (1, 7):
+            spread = 3.0 if k > 2 else 0.6
+            pos = rng.uniform_array((b, k, 2), -spread, spread)
+            ang = rng.uniform_array((b, k), 0.0, 2.0 * np.pi)
+            head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+            if b > 1 and k > 1:
+                pos[1, 1] = pos[1, 0]          # coincident agents
+                pos[2, :, 0] = cfg.box_half    # every agent on a wall
+                head[2, :] = [1.0, 0.0]        # heading out of the box
+                pos[3] = pos[3, :1]            # the whole flock on one spot
+            cases.append(pytest.param(cfg, pos, head, id=f"K={k},B={b}"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg, pos, head", _batch_cases())
+def test_batched_step_equals_per_row_step(cfg, pos, head):
+    b = pos.shape[0]
+    r_o = np.where(np.arange(b) % 2 == 1, cfg.orientation_radius_treated,
+                   cfg.orientation_radius)
+    batch = step(BoidState(pos, head), r_o, cfg)
+    momenta = mean_angular_momentum(batch)
+    assert momenta.shape == (b,)
+    for i in range(b):
+        row = step(BoidState(pos[i], head[i]), float(r_o[i]), cfg)
+        assert np.array_equal(batch.positions[i], row.positions)
+        assert np.array_equal(batch.headings[i], row.headings)
+        got = mean_angular_momentum(row)
+        assert isinstance(got, float)
+        assert np.array_equal(momenta[i], got)
+
+
 def test_soak_invariants():
     cfg = SimConfig()
     state = random_state(cfg, seed=77, spread=cfg.box_half / 2)
@@ -351,6 +388,22 @@ def test_simulate_rejects_bad_intervention():
         simulate(cfg, seed=0, intervention=3)
     with pytest.raises(ConfigError):
         simulate(cfg, seed=0, intervention=cfg.n_steps)
+
+
+def test_simulate_batch_rejects_bad_starts_and_forks():
+    cfg = SimConfig(n_agents=3)
+    with pytest.raises(ConfigError):
+        simulate_batch(cfg, [1, 2], [None, 3])
+    with pytest.raises(ConfigError):
+        simulate_batch(cfg, [1], [None], forks=[cfg.n_steps])
+    for forks in ([11, 10], [10, 10], [None]):
+        with pytest.raises(ContractError):
+            simulate_batch(cfg, [1], [None], forks=forks)
+    # a fork must not start after an episode's own start
+    with pytest.raises(ContractError):
+        simulate_batch(cfg, [1, 2], [None, 10], forks=[11])
+    rows = simulate_batch(cfg, [1, 2], [None, 10], forks=[9, 10])
+    assert rows.x_local.shape == (2, 3, cfg.n_steps, 3, 5)
 
 
 def test_prefix_shared_before_intervention():

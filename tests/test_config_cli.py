@@ -128,6 +128,10 @@ def test_load_config_weight_aliases(tmp_path):
     ("[data]\nn_train = [3]\n", "data.n_train must be a number"),
     ("[data]\nuntreated_fraction = \"a\"\n",
      "data.untreated_fraction must be a number"),
+    ("[data]\nn_train = True\n", "data.n_train must be a number"),
+    ("[sim]\nmax_turn_deg = True\n", "sim.max_turn_deg must be a number"),
+    ("[eval]\nchunk = True\n", "eval.chunk must be a number"),
+    ("[sim]\nseed = 0\n", "unknown key"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from cfswarm.boids import SimConfig, simulate
-from cfswarm.data import (NEVER_TREATED, generate_dataset, ground_truth_ite,
-                          load_dataset, save_dataset, sim_config_from_echo)
+from cfswarm.data import (CHUNK, NEVER_TREATED, _quantize, generate_dataset,
+                          ground_truth_ite, load_dataset, save_dataset,
+                          sim_config_from_echo)
 from cfswarm.errors import ConfigError, ContractError
+from cfswarm.rng import derive_seed
 
 
 def small_cfg():
@@ -72,6 +74,42 @@ def test_factual_test_matches_its_arm(ds):
         arm = ds.cf.arms.index(t_prime if t_prime >= 0 else NEVER_TREATED)
         assert ds.test.x_local[i].tobytes() == ds.cf.x_local[i, arm].tobytes()
         assert ds.test.outcome[i].tobytes() == ds.cf.outcome[i, arm].tobytes()
+
+
+def test_dataset_equals_per_episode_simulate():
+    # 37 training episodes: one full chunk plus a remainder
+    cfg = small_cfg()
+    assert 37 % CHUNK != 0
+    data = generate_dataset(cfg, n_train=37, n_val=3, n_test=5, seed=11)
+    fields = ("x_local", "x_global", "treatment", "outcome")
+
+    def check(part, index, sample):
+        for name in fields:
+            want = getattr(sample, name)
+            if name != "treatment":
+                want = _quantize(want)
+            assert np.array_equal(getattr(part, name)[index], want), name
+
+    for name in ("train", "val", "test"):
+        split = getattr(data, name)
+        for i in range(split.n):
+            start = int(split.intervention[i])
+            check(split, i, simulate(
+                cfg, derive_seed(11, f"episode/{name}", i),
+                None if start == NEVER_TREATED else start))
+    never = data.cf.arms.index(NEVER_TREATED)
+    for i in range(data.cf.n):
+        seed = derive_seed(11, "episode/test", i)
+        for a, arm in enumerate(data.cf.arms):
+            if arm == NEVER_TREATED:
+                check(data.cf, (i, a), simulate(cfg, seed, None))
+                continue
+            check(data.cf, (i, a), simulate(cfg, seed, arm))
+            # every arm is the untreated run on the steps before its start
+            for name in fields:
+                got = getattr(data.cf, name)
+                assert got[i, a, :arm].tobytes() == \
+                    got[i, never, :arm].tobytes(), name
 
 
 def test_ground_truth_ite_recompute(ds):
@@ -161,7 +199,8 @@ def test_sim_config_echo_round_trip():
 
 
 def test_full_scale_sizes_accepted():
-    # shape contract only; full-scale simulation itself is hours of work
+    # shape contract only; full-scale generation (20000/400/400 episodes)
+    # takes ~35 s and ~285 MiB on a 2-vCPU box, too long for a unit test
     cfg = SimConfig()
     ds = generate_dataset(cfg, 1, 1, 1, seed=0)
     assert ds.train.x_local.shape == (1, cfg.n_steps, cfg.n_agents, 5)
