@@ -14,20 +14,6 @@ from .rng import Rng
 SIGMA_FLOOR = 1e-4
 
 
-def _rows(x, width):
-    """Collapse leading axes so the last axis becomes matmul-ready."""
-    if x.array.ndim == 2:
-        return x, None
-    lead = x.array.shape[:-1]
-    return T.reshape(x, (-1, width)), lead
-
-
-def _unrows(y, lead, width):
-    if lead is None:
-        return y
-    return T.reshape(y, lead + (width,))
-
-
 class Mlp:
     """Dense stack with tanh hidden activations.
 
@@ -55,16 +41,15 @@ class Mlp:
             raise DimensionError(
                 f"{self.name}: expected trailing dim {self.sizes[0]}, "
                 f"got {x.array.shape}")
-        y, lead = _rows(x, self.sizes[0])
         last = len(self.sizes) - 2
         for i in range(last + 1):
-            y = T.add(T.matmul(y, leaves[f"{self.name}.w{i}"]),
+            x = T.add(T.matmul(x, leaves[f"{self.name}.w{i}"]),
                       leaves[f"{self.name}.b{i}"])
             if i < last:
-                y = T.tanh(y)
+                x = T.tanh(x)
             elif self.out_activation == "sigmoid":
-                y = T.sigmoid(y)
-        return _unrows(y, lead, self.sizes[-1])
+                x = T.sigmoid(x)
+        return x
 
     __call__ = forward
 
@@ -89,20 +74,17 @@ class GruCell:
         x, h = T._lift(x), T._lift(h)
         if x.array.shape[-1] != self.n_in or h.array.shape[-1] != self.n_hidden:
             raise DimensionError(f"{self.name}: bad GRU input widths")
-        xf, lead = _rows(x, self.n_in)
-        hf, _ = _rows(h, self.n_hidden)
         name = self.name
-        z = T.sigmoid(T.add(T.add(T.matmul(xf, leaves[f"{name}.wz"]),
-                                  T.matmul(hf, leaves[f"{name}.uz"])),
+        z = T.sigmoid(T.add(T.add(T.matmul(x, leaves[f"{name}.wz"]),
+                                  T.matmul(h, leaves[f"{name}.uz"])),
                             leaves[f"{name}.bz"]))
-        r = T.sigmoid(T.add(T.add(T.matmul(xf, leaves[f"{name}.wr"]),
-                                  T.matmul(hf, leaves[f"{name}.ur"])),
+        r = T.sigmoid(T.add(T.add(T.matmul(x, leaves[f"{name}.wr"]),
+                                  T.matmul(h, leaves[f"{name}.ur"])),
                             leaves[f"{name}.br"]))
-        cand = T.tanh(T.add(T.add(T.matmul(xf, leaves[f"{name}.wh"]),
-                                  T.matmul(T.mul(r, hf), leaves[f"{name}.uh"])),
+        cand = T.tanh(T.add(T.add(T.matmul(x, leaves[f"{name}.wh"]),
+                                  T.matmul(T.mul(r, h), leaves[f"{name}.uh"])),
                             leaves[f"{name}.bh"]))
-        out = T.add(T.mul(T.sub(1.0, z), hf), T.mul(z, cand))
-        return _unrows(out, lead, self.n_hidden)
+        return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, cand))
 
     __call__ = step
 
@@ -141,22 +123,17 @@ class GnnBlock:
             nodes = T.reshape(nodes, (1,) + nodes.array.shape)
         if nodes.array.ndim != 3 or nodes.array.shape[-1] != self.n_in:
             raise DimensionError(f"{self.name}: expected (B, K, {self.n_in}) nodes")
-        b, k, f = nodes.array.shape
-        flat = T.reshape(nodes, (b * k, f))
+        _, k, f = nodes.array.shape
         # f_e's first layer over [v_k, v_j] splits into two node projections,
         # which avoids materializing the K*(K-1) pair concatenation
         w0 = leaves[f"{self.name}.fe.w0"]
         top = T.slice_axis(w0, 0, 0, f)
         bot = T.slice_axis(w0, 0, f, 2 * f)
-        m = self.f_e.sizes[1]
-        proj_k = T.reshape(T.matmul(flat, top), (b, k, m))
-        proj_j = T.reshape(T.matmul(flat, bot), (b, k, m))
-        h_sum = T.pair_tanh_sum(proj_k, proj_j, leaves[f"{self.name}.fe.b0"])
-        agg = T.add(T.matmul(T.reshape(h_sum, (b * k, m)),
-                             leaves[f"{self.name}.fe.w1"]),
+        h_sum = T.pair_tanh_sum(T.matmul(nodes, top), T.matmul(nodes, bot),
+                                leaves[f"{self.name}.fe.b0"])
+        agg = T.add(T.matmul(h_sum, leaves[f"{self.name}.fe.w1"]),
                     T.mul(leaves[f"{self.name}.fe.b1"], float(k - 1)))
         out = self.f_v(leaves, agg)
-        out = T.reshape(out, (b, k, self.n_out))
         if squeeze:
             out = T.reshape(out, (k, self.n_out))
         return out
@@ -213,21 +190,19 @@ class GaussianHead:
         store.add_uniform(f"{self.name}.bsig", (self.n_out,), 0, rng)
 
     def forward(self, leaves, x):
-        x = T._lift(x)
-        xf, lead = _rows(x, self.n_in)
-        mu = T.add(T.matmul(xf, leaves[f"{self.name}.wmu"]), leaves[f"{self.name}.bmu"])
-        raw = T.add(T.matmul(xf, leaves[f"{self.name}.wsig"]), leaves[f"{self.name}.bsig"])
+        mu = T.add(T.matmul(x, leaves[f"{self.name}.wmu"]), leaves[f"{self.name}.bmu"])
+        raw = T.add(T.matmul(x, leaves[f"{self.name}.wsig"]), leaves[f"{self.name}.bsig"])
         sigma = T.add(T.softplus(raw), SIGMA_FLOOR)
-        return _unrows(mu, lead, self.n_out), _unrows(sigma, lead, self.n_out)
+        return mu, sigma
 
     __call__ = forward
 
 
-def treatment_head(mlp: Mlp, leaves, z, lambda_grl: float = 1.0):
+def treatment_head(mlp: Mlp, leaves, z):
     """Propensity probability from a gradient-reversed representation.
 
-    Returns (probability, logits).  The reversal scale only shapes the
-    backward pass; forward values are identical for any positive scale.
+    Returns (probability, logits).  The reversal is an identity forward and
+    negates the gradient flowing back into z.
     """
-    logits = mlp.forward(leaves, T.grad_reverse(z, lambda_grl))
+    logits = mlp.forward(leaves, T.grad_reverse(z))
     return T.sigmoid(logits), logits

@@ -9,6 +9,7 @@ defaults.
 
 import ast
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -71,35 +72,37 @@ class RunConfig:
         return self
 
 
-_WEIGHT_KEYS = {"alpha": "alpha", "gamma": "gamma", "lambda": "lam"}
+_WEIGHT_KEYS = ("alpha", "gamma", "lambda")
+_ATTRS = {"lambda": "lam"}  # INI keys whose field name differs
 
 
 def _apply(obj, section: str, items: dict[str, str]) -> None:
     valid = {f.name: f.type for f in fields(obj)}
     for key, raw in items.items():
-        if key not in valid:
+        attr = _ATTRS.get(key, key)
+        if attr not in valid:
             raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        current = getattr(obj, key)
+        current = getattr(obj, attr)
         if isinstance(current, str):
-            setattr(obj, key, raw.strip())
+            setattr(obj, attr, raw.strip())
             continue
         try:
             value = ast.literal_eval(raw)
         except (ValueError, SyntaxError) as exc:
             raise ConfigError(
-                f"bad literal for {section}.{key}: {raw!r}") from exc
-        if isinstance(current, bool):
-            value = bool(value)
-        elif isinstance(current, (int, float)) and \
+                f"bad {section}.{key}: bad literal {raw!r}") from exc
+        if isinstance(current, (int, float)) and \
                 (isinstance(value, bool) or not isinstance(value, (int, float))):
             raise ConfigError(f"{section}.{key} must be a number, not {raw!r}")
+        elif isinstance(current, (int, float)) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{key} must be finite, not {raw!r}")
         elif isinstance(current, int):
             if isinstance(value, float) and not value.is_integer():
                 raise ConfigError(f"{section}.{key} must be an integer")
             value = int(value)
         elif isinstance(current, float):
             value = float(value)
-        setattr(obj, key, value)
+        setattr(obj, attr, value)
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -134,13 +137,8 @@ def load_config(path: str | Path) -> RunConfig:
         if "weights" in items:
             raise ConfigError(
                 "set loss weights via alpha / gamma / lambda, not 'weights'")
-        for ini_key, attr in _WEIGHT_KEYS.items():
-            if ini_key in items:
-                try:
-                    setattr(cfg.train.weights, attr,
-                            float(ast.literal_eval(items.pop(ini_key))))
-                except (ValueError, SyntaxError, TypeError) as exc:
-                    raise ConfigError(f"bad train.{ini_key}") from exc
+        _apply(cfg.train.weights, "train",
+               {key: items.pop(key) for key in _WEIGHT_KEYS if key in items})
         _apply(cfg.train, "train", items)
     if parser.has_section("eval"):
         _apply(cfg.eval, "eval", dict(parser["eval"]))

@@ -160,20 +160,24 @@ def generate_dataset(cfg: SimConfig, n_train: int, n_val: int, n_test: int,
     )
 
 
-def ground_truth_ite(cf: CounterfactualSet):
-    """Per-episode effect of each timing on the final outcome.
+def final_effects(outcome: np.ndarray, treated_steps):
+    """(tau, best_timing) from (n, A, T) outcomes, never-treated arm last.
 
-    Returns (tau, best_timing): tau[i, a] is the treated arm's last outcome
-    minus the never-treated arm's, and best_timing[i] is the intervention
-    step whose final outcome is largest (earliest wins ties).
+    tau[i, a] is the final outcome of the arm starting at treated_steps[a]
+    minus the never-treated arm's; best_timing[i] is the start whose final
+    outcome is largest (earliest wins ties).
     """
+    final = outcome[:, :, -1]
+    tau = final[:, :-1] - final[:, -1:]
+    best = np.array(treated_steps)[np.argmax(final[:, :-1], axis=1)]
+    return tau, best
+
+
+def ground_truth_ite(cf: CounterfactualSet):
+    """`final_effects` of the simulated counterfactual arms."""
     if cf.arms[-1] != NEVER_TREATED:
         raise ContractError("expected the never-treated arm last")
-    final = cf.outcome[:, :, -1]
-    tau = final[:, :-1] - final[:, -1:]
-    treated_steps = np.array(cf.arms[:-1])
-    best = treated_steps[np.argmax(final[:, :-1], axis=1)]
-    return tau, best
+    return final_effects(cf.outcome, cf.arms[:-1])
 
 
 # ---------------------------------------------------------------------------

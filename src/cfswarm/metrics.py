@@ -24,7 +24,7 @@ import numpy as np
 
 from . import artifact
 from .boids import SimConfig
-from .data import CounterfactualSet, Dataset, ground_truth_ite
+from .data import CounterfactualSet, Dataset, final_effects, ground_truth_ite
 from .errors import ContractError, DimensionError
 from .model import CrnModel, predict_ite
 from .optim import ParamStore
@@ -113,8 +113,7 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
 
     # effect metrics on final-step estimates
     tau_true, best_true = ground_truth_ite(cf)
-    y_final = y_pred[:, :, -1]
-    tau_hat = y_final[:, :-1] - y_final[:, -1:]
+    tau_hat, _ = final_effects(y_pred, cf.arms[:-1])
     pehe_per_arm, ate_per_arm = effect_errors(tau_hat, tau_true)
     err = tau_hat - tau_true
     ep_pehe = np.sqrt((err ** 2).mean(axis=1))

@@ -26,6 +26,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp, treatment_head
 from .boids import SimConfig
+from .data import final_effects
 from .errors import ContractError, DimensionError
 from .optim import ParamStore
 from .rng import Rng, derive_seed
@@ -174,24 +175,24 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     angles and positions.  Returns (x_loc_hat, x_g_hat, new_pos, new_head)
     with the realized turn guaranteed inside the turn limit.
     """
-    theta_prop = T._lift(theta_prop)
     positions, headings = T._lift(positions), T._lift(headings)
     b, k, _ = positions.array.shape
     beta = cfg.max_turn_rad
-    theta = T.clip(T.reshape(theta_prop, (b, k)), -beta, beta)
+    # per-agent scalars are (B, K, 1) columns throughout
+    theta = T.clip(theta_prop, -beta, beta)
 
-    hx = T.reshape(T.slice_axis(headings, 2, 0, 1), (b, k))
-    hy = T.reshape(T.slice_axis(headings, 2, 1, 2), (b, k))
+    hx = T.slice_axis(headings, 2, 0, 1)
+    hy = T.slice_axis(headings, 2, 1, 2)
     c, s = T.cos(theta), T.sin(theta)
     px = T.sub(T.mul(hx, c), T.mul(hy, s))
     py = T.add(T.mul(hx, s), T.mul(hy, c))
 
     centroid = T.mul(T.sum_axis(positions, 1, keepdims=True), 1.0 / k)
     rel = T.sub(positions, centroid)
-    rel_sq = T.sum_axis(T.square(rel), 2)
+    rel_sq = T.sum_axis(T.square(rel), 2, keepdims=True)
     inv = T.div(1.0, T.sqrt(T.add(rel_sq, _EPS)))
-    tx = T.neg(T.mul(T.reshape(T.slice_axis(rel, 2, 0, 1), (b, k)), inv))
-    ty = T.neg(T.mul(T.reshape(T.slice_axis(rel, 2, 1, 2), (b, k)), inv))
+    tx = T.neg(T.mul(T.slice_axis(rel, 2, 0, 1), inv))
+    ty = T.neg(T.mul(T.slice_axis(rel, 2, 1, 2), inv))
 
     # zone bookkeeping on constants
     pos_c = positions.array
@@ -204,7 +205,7 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     orient_pairs = (dist > cfg.repulsion_radius) & (dist <= r_o) & off
     has_rep = ((dist < cfg.repulsion_radius) & off).any(axis=2)
     n_orient = orient_pairs.sum(axis=2)
-    far = np.sqrt(rel_sq.array) > cfg.attraction_radius / 2.0
+    far = np.sqrt(rel_sq.array[..., 0]) > cfg.attraction_radius / 2.0
     use_orient = (~far) & (n_orient > 0) & (~has_rep)
 
     # alignment target: mean heading over orientation-zone neighbours
@@ -212,15 +213,13 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     nbr = T.sum_axis(T.mul(T.reshape(headings, (b, 1, k, 2)), mask), 2)
     denom = 1.0 / np.maximum(n_orient, 1)[..., None]
     nbr = T.mul(nbr, denom)
-    bx = T.add(T.mul(T.reshape(T.slice_axis(nbr, 2, 0, 1), (b, k)), 0.5),
-               T.mul(px, 0.5))
-    by = T.add(T.mul(T.reshape(T.slice_axis(nbr, 2, 1, 2), (b, k)), 0.5),
-               T.mul(py, 0.5))
+    bx = T.add(T.mul(T.slice_axis(nbr, 2, 0, 1), 0.5), T.mul(px, 0.5))
+    by = T.add(T.mul(T.slice_axis(nbr, 2, 1, 2), 0.5), T.mul(py, 0.5))
     bn = T.div(1.0, T.sqrt(T.add(T.add(T.square(bx), T.square(by)), _EPS)))
     bx, by = T.mul(bx, bn), T.mul(by, bn)
 
-    w_far = far.astype(np.float64)
-    w_or = use_orient.astype(np.float64)
+    w_far = far.astype(np.float64)[..., None]
+    w_or = use_orient.astype(np.float64)[..., None]
     w_keep = 1.0 - w_far - w_or
     dx = T.add(T.add(T.mul(tx, w_far), T.mul(bx, w_or)), T.mul(px, w_keep))
     dy = T.add(T.add(T.mul(ty, w_far), T.mul(by, w_or)), T.mul(py, w_keep))
@@ -234,24 +233,19 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     ny = T.add(T.mul(hx, st), T.mul(hy, ct))
 
     step_len = cfg.speed * cfg.dt
-    new_pos = T.add(positions,
-                    T.concat([T.reshape(T.mul(nx, step_len), (b, k, 1)),
-                              T.reshape(T.mul(ny, step_len), (b, k, 1))], 2))
-    new_head = T.concat([T.reshape(nx, (b, k, 1)),
-                         T.reshape(ny, (b, k, 1))], 2)
-
-    x_loc_hat = T.concat([new_pos, T.mul(new_head, cfg.speed),
-                          T.reshape(turn, (b, k, 1))], 2)
+    new_head = T.concat([nx, ny], 2)
+    new_pos = T.add(positions, T.mul(new_head, step_len))
+    x_loc_hat = T.concat([new_pos, T.mul(new_head, cfg.speed), turn], 2)
 
     # group angular momentum of the predicted state
     cen2 = T.mul(T.sum_axis(new_pos, 1, keepdims=True), 1.0 / k)
     rel2 = T.sub(new_pos, cen2)
-    inv2 = T.div(1.0, T.sqrt(T.add(T.sum_axis(T.square(rel2), 2), _EPS)))
-    rx = T.mul(T.reshape(T.slice_axis(rel2, 2, 0, 1), (b, k)), inv2)
-    ry = T.mul(T.reshape(T.slice_axis(rel2, 2, 1, 2), (b, k)), inv2)
+    inv2 = T.div(1.0, T.sqrt(T.add(
+        T.sum_axis(T.square(rel2), 2, keepdims=True), _EPS)))
+    rx = T.mul(T.slice_axis(rel2, 2, 0, 1), inv2)
+    ry = T.mul(T.slice_axis(rel2, 2, 1, 2), inv2)
     spin = T.sub(T.mul(rx, ny), T.mul(ry, nx))
-    x_g_hat = T.reshape(T.absolute(T.mul(T.sum_axis(spin, 1), 1.0 / k)),
-                        (b, 1))
+    x_g_hat = T.absolute(T.mul(T.sum_axis(spin, 1), 1.0 / k))
     return x_loc_hat, x_g_hat, new_pos, new_head
 
 
@@ -658,11 +652,8 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                 trunk.append(so)
             add(n_arms - 1, trunk)
 
-    y_final = y_all[:, :, -1]
-    tau_hat = y_final[:, :-1] - y_final[:, -1:]
-    arm_steps = np.array(arms)
-    best = arm_steps[np.argmax(y_final[:, :-1], axis=1)]
-    out = {"arms": all_arms, "y_final": y_final, "tau_hat": tau_hat,
+    tau_hat, best = final_effects(y_all, arms)
+    out = {"arms": all_arms, "y_final": y_all[:, :, -1], "tau_hat": tau_hat,
            "best_timing": best, "y_all": y_all, "a_all": a_all}
     if trace:
         out["x_loc_hat"] = x_loc_all

@@ -175,8 +175,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
     if g.shape == tuple(shape):
         return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
     for axis, dim in enumerate(shape):
         if dim == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -184,14 +184,8 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    flat = np.asarray(x, dtype=np.float64).ravel()
-    out = np.empty_like(flat)
-    pos = flat >= 0
-    neg = ~pos
-    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
-    ex = np.exp(flat[neg])
-    out[neg] = ex / (1.0 + ex)
-    return out.reshape(np.shape(x))
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +279,9 @@ def _bw_atan2(g, saved):
 
 def _bw_matmul(g, saved):
     a, b = saved
-    return (g @ b.T, a.T @ g)
+    g_rows = g.reshape(-1, g.shape[-1])
+    return ((g_rows @ b.T).reshape(a.shape),
+            a.reshape(-1, a.shape[-1]).T @ g_rows)
 
 
 def _bw_sum(g, saved):
@@ -485,13 +481,17 @@ def atan2(y, x):
 
 
 def matmul(a, b):
+    """(..., n) @ (n, m) -> (..., m): the leading axes of a fold into the
+    rows of one (rows, n) @ (n, m) product."""
     a, b = _lift(a), _lift(b)
-    if a.array.ndim != 2 or b.array.ndim != 2:
-        raise DimensionError("matmul expects rank-2 operands")
-    if a.array.shape[1] != b.array.shape[0]:
+    if a.array.ndim < 2 or b.array.ndim != 2:
+        raise DimensionError("matmul expects (..., n) @ (n, m) operands")
+    if a.array.shape[-1] != b.array.shape[0]:
         raise DimensionError(
             f"matmul inner dimensions differ: {a.array.shape} @ {b.array.shape}")
-    return _emit("matmul", (a, b), (a.array, b.array), a.array @ b.array)
+    out = a.array.reshape(-1, b.array.shape[0]) @ b.array
+    return _emit("matmul", (a, b), (a.array, b.array),
+                 out.reshape(a.array.shape[:-1] + b.array.shape[1:]))
 
 
 def tsum(a):
@@ -577,15 +577,12 @@ def grad_reverse(a, scale: float = 1.0):
     return _emit("grad_reverse", (a,), (float(scale),), a.array)
 
 
-def gaussian_sample(mu, sigma, rng: Rng, allow_zero_sigma: bool = False):
+def gaussian_sample(mu, sigma, rng: Rng):
     """Reparameterized draw mu + sigma * eps with eps ~ N(0, I) from rng."""
     mu, sigma = _lift(mu), _lift(sigma)
     if mu.array.shape != sigma.array.shape:
         raise DimensionError("gaussian_sample requires identical mu/sigma shapes")
-    if allow_zero_sigma:
-        if np.any(sigma.array < 0.0):
-            raise DomainError("sigma must be nonnegative")
-    elif np.any(sigma.array <= 0.0):
+    if np.any(sigma.array <= 0.0):
         raise DomainError("sigma must be strictly positive")
     eps = rng.normal_array(mu.array.shape)
     out = mu.array + sigma.array * eps

@@ -2,15 +2,18 @@
 
 import csv
 import json
+import os
 import shutil
 import struct
 import subprocess
 import sys
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfswarm
 import cfswarm.tensor as T
 from cfswarm import artifact
 from cfswarm.cli import main
@@ -132,6 +135,9 @@ def test_load_config_weight_aliases(tmp_path):
     ("[sim]\nmax_turn_deg = True\n", "sim.max_turn_deg must be a number"),
     ("[eval]\nchunk = True\n", "eval.chunk must be a number"),
     ("[sim]\nseed = 0\n", "unknown key"),
+    ("[train]\nalpha = True\n", "train.alpha must be a number"),
+    ("[train]\nalpha = 1e400\n", "train.alpha must be finite"),
+    ("[train]\nlr = 1e400\n", "train.lr must be finite"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -411,10 +417,14 @@ def test_exit_code_for_numeric_failure(pipeline, tmp_path, capsys,
 
 
 def test_cli_module_entry_point(tmp_path):
+    # the child imports the same cfswarm as this process, installed or not
+    src_root = str(Path(cfswarm.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH"))
+                           if p)
     proc = subprocess.run(
         [sys.executable, "-m", "cfswarm.cli", "gen",
          "--config", str(tmp_path / "missing.ini")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 1
     assert "error:" in proc.stderr
 

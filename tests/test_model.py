@@ -163,6 +163,21 @@ def test_theory_step_outputs_consistent():
     assert np.all(x_g.array >= 0.0) and np.all(x_g.array <= 1.0 + 1e-12)
 
 
+def test_free_run_theory_step_records_at_most_one_reshape():
+    # free-run steps integrate from taped positions and headings; per-agent
+    # scalars stay (B, K, 1) columns, so only the neighbour broadcast of the
+    # headings reshapes
+    cfg = small_cfg()
+    x_local, _, _ = batch_from_sim(cfg, 3, seed=11)
+    tape = T.Tape()
+    positions = tape.watch(x_local[:, 4, :, 0:2])
+    headings = tape.watch(x_local[:, 4, :, 2:4] / cfg.speed)
+    theta = tape.watch(np.random.default_rng(0).uniform(
+        -2.0, 2.0, size=(3, cfg.n_agents, 1)))
+    theory_step(theta, positions, headings, np.array([0.0, 1.0, 0.0]), cfg)
+    assert sum(node.kind == "reshape" for node in tape.nodes) <= 1
+
+
 # step composition oracles ---------------------------------------------------
 
 
