@@ -12,6 +12,10 @@ naively in the tests as an independent oracle.  The vectorized functions
 accept any leading batch shape, so one `step` call advances a batch of rows
 (episodes or counterfactual arms) that share nothing but the arithmetic:
 each row comes out bitwise as if stepped alone.
+
+Pair terms are laid out (..., j, k) on separate x and y planes, neighbour j
+before agent k, so numpy's inner loops run over K agents instead of a
+length-2 coordinate axis.
 """
 
 from dataclasses import dataclass, field, fields, replace
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, uniform_rows
 
 _TINY = 1e-12
 
@@ -89,18 +93,20 @@ class BoidState:
 
 
 def _pairwise(positions: np.ndarray):
-    """diff[..., k, j] = r_j - r_k and the matching distances (inf on diagonal)."""
-    diff = positions[..., None, :, :] - positions[..., :, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    """Coordinate planes dx[..., j, k] = x_j - x_k and dy[..., j, k] =
+    y_j - y_k, and the distances |r_j - r_k| (inf on the diagonal)."""
+    x, y = positions[..., 0], positions[..., 1]
+    dx = x[..., :, None] - x[..., None, :]
+    dy = y[..., :, None] - y[..., None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
     idx = np.arange(positions.shape[-2])
     dist[..., idx, idx] = np.inf
-    return diff, dist
+    return dx, dy, dist
 
 
 def zone_neighbors(state: BoidState, k: int, r_o: float, cfg: SimConfig):
     """Counts (n_r, n_o, n_a) of neighbors of agent k in each zone."""
-    _, dist = _pairwise(state.positions)
-    d = dist[k]
+    d = _pairwise(state.positions)[2][:, k]
     n_r = int(np.sum(d < cfg.repulsion_radius))
     n_o = int(np.sum((d > cfg.repulsion_radius) & (d <= r_o)))
     n_a = int(np.sum((d > r_o) & (d <= cfg.attraction_radius)))
@@ -119,32 +125,42 @@ def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
 def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
     """Zone rule for every agent at once. Rows are unit vectors.
 
-    `r_o` is a scalar or one orientation radius per batch row.
+    `r_o` is a scalar or one orientation radius per batch row.  Pair terms
+    are (..., j, k) planes of x and y, which equal (..., k, j, 2) stacks
+    bit for bit: the distance adds the same two squares, and each
+    neighbour sum reduces axis -2 in the same j order.
     """
-    diff, dist = _pairwise(positions)
+    ux, uy, dist = _pairwise(positions)
+    # in place: the differences become unit vectors (0/0 between
+    # coincident agents is zeroed)
     with np.errstate(invalid="ignore"):
-        unit = diff / dist[..., None]
-    unit = np.where(np.isfinite(unit), unit, 0.0)
+        np.divide(ux, dist, out=ux)
+        np.divide(uy, dist, out=uy)
+    ux[~np.isfinite(ux)] = 0.0
+    uy[~np.isfinite(uy)] = 0.0
 
     r_o = np.asarray(r_o)[..., None, None]
     rep = dist < cfg.repulsion_radius
     orient = (dist > cfg.repulsion_radius) & (dist <= r_o)
     attract = (dist > r_o) & (dist <= cfg.attraction_radius)
 
-    n_r = rep.sum(axis=-1)
-    n_o = orient.sum(axis=-1)
-    n_a = attract.sum(axis=-1)
+    def nbr_sum(vx, vy, mask):
+        return np.stack([(vx * mask).sum(axis=-2), (vy * mask).sum(axis=-2)],
+                        axis=-1)
 
-    rep_vec = (unit * rep[..., None]).sum(axis=-2)
-    rep_dir = _unit_rows(-rep_vec, headings)
+    n_r = rep.sum(axis=-2)
+    n_o = orient.sum(axis=-2)
+    n_a = attract.sum(axis=-2)
+
+    rep_dir = _unit_rows(-nbr_sum(ux, uy, rep), headings)
 
     o_counts = np.where(n_o > 0, n_o, 1)[..., None]
-    o_term = (headings[..., None, :, :] * orient[..., None]).sum(axis=-2) / o_counts
+    o_term = nbr_sum(headings[..., :, 0, None], headings[..., :, 1, None],
+                     orient) / o_counts
     o_hat = _unit_rows(o_term, headings)
 
     a_counts = np.where(n_a > 0, n_a, 1)[..., None]
-    a_term = (unit * attract[..., None]).sum(axis=-2) / a_counts
-    a_hat = _unit_rows(a_term, headings)
+    a_hat = _unit_rows(nbr_sum(ux, uy, attract) / a_counts, headings)
 
     both = (n_o > 0) & (n_a > 0)
     blend = _unit_rows(0.5 * (o_hat + a_hat), headings)
@@ -232,13 +248,25 @@ def step(state: BoidState, r_o, cfg: SimConfig) -> BoidState:
     return BoidState(new_pos, new_d)
 
 
-def initial_state(cfg: SimConfig, rng: Rng) -> BoidState:
-    """Positions uniform in the central half-width square, headings uniform."""
+def _state_from_uniforms(cfg: SimConfig, u: np.ndarray) -> BoidState:
+    """Positions uniform in the central half-width square, headings uniform,
+    from rows of 3K uniforms: 2K for the positions, then K angles."""
     k = cfg.n_agents
-    pos = (rng.uniform_array((k, 2)) - 0.5) * cfg.box_half
-    angles = rng.uniform_array((k,)) * (2.0 * np.pi)
-    headings = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    return BoidState(pos, headings)
+    pos = (u[..., :2 * k].reshape(u.shape[:-1] + (k, 2)) - 0.5) * cfg.box_half
+    angles = u[..., 2 * k:] * (2.0 * np.pi)
+    return BoidState(pos, np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+
+
+def initial_state(cfg: SimConfig, rng: Rng) -> BoidState:
+    """One (K, 2) starting state drawn from `rng`."""
+    return _state_from_uniforms(cfg, rng.uniforms(3 * cfg.n_agents))
+
+
+def initial_states(cfg: SimConfig, seeds) -> BoidState:
+    """Episode i's starting state, initial_state(cfg, Rng(derive_seed(
+    seeds[i], "boid-init"))), for every seed, drawn in one pass."""
+    roots = [derive_seed(s, "boid-init") for s in seeds]
+    return _state_from_uniforms(cfg, uniform_rows(roots, 3 * cfg.n_agents))
 
 
 def _signed_turns(d_prev: np.ndarray, d_new: np.ndarray) -> np.ndarray:
@@ -316,9 +344,8 @@ def simulate_batch(cfg: SimConfig, seeds, starts, forks=()) -> TrajectorySample:
     arm_start = np.stack([own_start] + [np.full(b, s) for s in forks])
     x_local = np.zeros((len(arm_start), b, t_total, k, 5))
     momentum = np.zeros((len(arm_start), b, t_total + 1))
-    inits = [initial_state(cfg, Rng(derive_seed(s, "boid-init"))) for s in seeds]
-    state = BoidState(np.stack([s.positions for s in inits])[None],
-                      np.stack([s.headings for s in inits])[None])
+    init = initial_states(cfg, seeds)
+    state = BoidState(init.positions[None], init.headings[None])
     dtheta = np.zeros((1, b, k))
     momentum[0, :, 0] = mean_angular_momentum(state)[0]
 

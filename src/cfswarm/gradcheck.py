@@ -114,6 +114,10 @@ def op_cases():
         "sub": case(lambda xs: _weighted(T.sub(xs[0], xs[1])), [a, b]),
         "mul": case(lambda xs: _weighted(T.mul(xs[0], xs[1])), [a, b[:, :1]]),
         "div": case(lambda xs: _weighted(T.div(xs[0], xs[1])), [a, pos]),
+        # one constant operand, whose gradient the rules skip
+        "sub_const": case(lambda xs: _weighted(T.sub(b, xs[0])), [a]),
+        "div_const": case(lambda xs: _weighted(
+            T.add(T.div(xs[0], pos), T.div(pos, xs[1]))), [a, pos]),
         "neg": case(lambda xs: _weighted(T.neg(xs[0])), [a]),
         "exp": case(lambda xs: _weighted(T.exp(xs[0])), [a]),
         "log": case(lambda xs: _weighted(T.log(xs[0])), [pos]),

@@ -194,10 +194,12 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     tx = T.neg(T.mul(T.slice_axis(rel, 2, 0, 1), inv))
     ty = T.neg(T.mul(T.slice_axis(rel, 2, 1, 2), inv))
 
-    # zone bookkeeping on constants
-    pos_c = positions.array
-    diff = pos_c[:, :, None, :] - pos_c[:, None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=3))
+    # zone bookkeeping on constants, from (B, k, j) planes of x_k - x_j
+    # and y_k - y_j
+    px_c, py_c = positions.array[..., 0], positions.array[..., 1]
+    ddx = px_c[:, :, None] - px_c[:, None, :]
+    ddy = py_c[:, :, None] - py_c[:, None, :]
+    dist = np.sqrt(ddx * ddx + ddy * ddy)
     off = ~np.eye(k, dtype=bool)[None]
     r_o = np.where(np.asarray(a_row, dtype=np.float64) > 0.5,
                    cfg.orientation_radius_treated,

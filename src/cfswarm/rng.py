@@ -46,6 +46,30 @@ def derive_seed(root: int, purpose: str, index: int = 0) -> int:
     return _mix64(h ^ ((index & _MASK) * _GOLDEN) & _MASK)
 
 
+def _splitmix64(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Words `idx` of the splitmix64 streams starting at `base`; both are
+    uint64 and broadcast against each other."""
+    with np.errstate(over="ignore"):
+        x = base + idx * np.uint64(_GOLDEN)
+        z = x + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D9ECF9AEBD7CEB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _unit_doubles(words: np.ndarray) -> np.ndarray:
+    """The top 53 bits of each word as a double in [0, 1)."""
+    return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """(len(seeds), n) uniforms drawn in one pass; row i is bitwise
+    Rng(seeds[i]).uniforms(n)."""
+    base = np.array([_mix64(s) for s in seeds], dtype=np.uint64)
+    return _unit_doubles(_splitmix64(base[:, None],
+                                     np.arange(n, dtype=np.uint64)))
+
+
 class Rng:
     """Deterministic stream of uniforms and normals.
 
@@ -63,20 +87,13 @@ class Rng:
 
     def _raw(self, n: int) -> np.ndarray:
         """Next n splitmix64 words as uint64."""
-        base = _mix64(self.seed)
         idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n
-        with np.errstate(over="ignore"):
-            x = np.uint64(base) + idx * np.uint64(_GOLDEN)
-            z = x + np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D9ECF9AEBD7CEB)
-            z = z ^ (z >> np.uint64(31))
-        return z
+        return _splitmix64(np.uint64(_mix64(self.seed)), idx)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return (self._raw(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return _unit_doubles(self._raw(n))
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller."""

@@ -192,24 +192,32 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 # backward rules, keyed by node kind
 
 
+# The binary rules skip (return None for) an operand without a tape node:
+# `backward` would discard a constant's gradient.
+
+
 def _bw_add(g, saved):
-    sa, sb = saved
-    return (_unbroadcast(g, sa), _unbroadcast(g, sb))
+    sa, sb, (need_a, need_b) = saved
+    return (_unbroadcast(g, sa) if need_a else None,
+            _unbroadcast(g, sb) if need_b else None)
 
 
 def _bw_sub(g, saved):
-    sa, sb = saved
-    return (_unbroadcast(g, sa), _unbroadcast(-g, sb))
+    sa, sb, (need_a, need_b) = saved
+    return (_unbroadcast(g, sa) if need_a else None,
+            _unbroadcast(-g, sb) if need_b else None)
 
 
 def _bw_mul(g, saved):
-    a, b = saved
-    return (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape))
+    a, b, (need_a, need_b) = saved
+    return (_unbroadcast(g * b, a.shape) if need_a else None,
+            _unbroadcast(g * a, b.shape) if need_b else None)
 
 
 def _bw_div(g, saved):
-    a, b = saved
-    return (_unbroadcast(g / b, a.shape), _unbroadcast(-g * a / (b * b), b.shape))
+    a, b, (need_a, need_b) = saved
+    return (_unbroadcast(g / b, a.shape) if need_a else None,
+            _unbroadcast(-g * a / (b * b), b.shape) if need_b else None)
 
 
 def _bw_neg(g, saved):
@@ -382,26 +390,34 @@ BACKWARD = {
 # elementwise and shape ops
 
 
+def _has_node(a: Tensor, b: Tensor):
+    return (a.node_id is not None, b.node_id is not None)
+
+
 def add(a, b):
     a, b = _lift(a), _lift(b)
-    return _emit("add", (a, b), (a.array.shape, b.array.shape), a.array + b.array)
+    return _emit("add", (a, b), (a.array.shape, b.array.shape, _has_node(a, b)),
+                 a.array + b.array)
 
 
 def sub(a, b):
     a, b = _lift(a), _lift(b)
-    return _emit("sub", (a, b), (a.array.shape, b.array.shape), a.array - b.array)
+    return _emit("sub", (a, b), (a.array.shape, b.array.shape, _has_node(a, b)),
+                 a.array - b.array)
 
 
 def mul(a, b):
     a, b = _lift(a), _lift(b)
-    return _emit("mul", (a, b), (a.array, b.array), a.array * b.array)
+    return _emit("mul", (a, b), (a.array, b.array, _has_node(a, b)),
+                 a.array * b.array)
 
 
 def div(a, b):
     a, b = _lift(a), _lift(b)
     if np.any(b.array == 0.0):
         raise DomainError("division by zero")
-    return _emit("div", (a, b), (a.array, b.array), a.array / b.array)
+    return _emit("div", (a, b), (a.array, b.array, _has_node(a, b)),
+                 a.array / b.array)
 
 
 def neg(a):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from cfswarm.boids import (BoidState, SimConfig, clamp_turn,
-                           desired_direction, initial_state,
+from cfswarm.boids import (BoidState, SimConfig, _desired_directions,
+                           _pairwise, _unit_rows, clamp_turn,
+                           desired_direction, initial_state, initial_states,
                            mean_angular_momentum, simulate, simulate_batch,
                            step, zone_neighbors)
 from cfswarm.errors import ConfigError, ContractError
-from cfswarm.rng import Rng
+from cfswarm.rng import Rng, derive_seed
 
 
 def make_state(positions, headings):
@@ -321,6 +322,81 @@ def test_batched_step_equals_per_row_step(cfg, pos, head):
         assert np.array_equal(momenta[i], got)
 
 
+def stack_desired_directions(positions, headings, r_o, cfg: SimConfig):
+    """The zone rule on (..., k, j, 2) stacks of r_j - r_k.
+
+    This is the layout the simulator used before it moved to (..., j, k)
+    coordinate planes; the planes must reproduce it bit for bit.
+    """
+    diff = positions[..., None, :, :] - positions[..., :, None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    idx = np.arange(positions.shape[-2])
+    dist[..., idx, idx] = np.inf
+    with np.errstate(invalid="ignore"):
+        unit = diff / dist[..., None]
+    unit = np.where(np.isfinite(unit), unit, 0.0)
+
+    r_o = np.asarray(r_o)[..., None, None]
+    rep = dist < cfg.repulsion_radius
+    orient = (dist > cfg.repulsion_radius) & (dist <= r_o)
+    attract = (dist > r_o) & (dist <= cfg.attraction_radius)
+    n_r, n_o, n_a = rep.sum(axis=-1), orient.sum(axis=-1), attract.sum(axis=-1)
+
+    rep_dir = _unit_rows(-(unit * rep[..., None]).sum(axis=-2), headings)
+    o_counts = np.where(n_o > 0, n_o, 1)[..., None]
+    o_term = (headings[..., None, :, :] * orient[..., None]).sum(axis=-2) / o_counts
+    o_hat = _unit_rows(o_term, headings)
+    a_counts = np.where(n_a > 0, n_a, 1)[..., None]
+    a_hat = _unit_rows((unit * attract[..., None]).sum(axis=-2) / a_counts,
+                       headings)
+    both = (n_o > 0) & (n_a > 0)
+    blend = _unit_rows(0.5 * (o_hat + a_hat), headings)
+    social = np.where(both[..., None], blend,
+                      np.where((n_o > 0)[..., None], o_hat,
+                               np.where((n_a > 0)[..., None], a_hat, headings)))
+    return np.where((n_r > 0)[..., None], rep_dir, social), dist
+
+
+def _plane_cases():
+    """(cfg, positions (..., K, 2), headings, r_o) with one r_o per row.
+
+    Row 0 holds two coincident agents; rows 1-4 put agent 1 exactly r_r,
+    r_o, treated r_o and r_a from agent 0, each under the r_o that makes
+    the distance a zone boundary; every other row draws its own r_o.
+    """
+    rng = Rng(2026)
+    cases = []
+    for k in (1, 2, 4, 20):
+        cfg = SimConfig(n_agents=k)
+        r_o, r_t = cfg.orientation_radius, cfg.orientation_radius_treated
+        edges = [(cfg.repulsion_radius, r_o), (r_o, r_o), (r_t, r_t),
+                 (cfg.attraction_radius, r_t)]
+        for lead in ((), (7,), (6, 32)):
+            pos = rng.uniform_array(lead + (k, 2), -4.0, 4.0)
+            ang = rng.uniform_array(lead + (k,), 0.0, 2.0 * np.pi)
+            head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+            radii = rng.uniform_array(lead, cfg.repulsion_radius,
+                                      cfg.attraction_radius)
+            rows, row_r_o = pos.reshape(-1, k, 2), radii.reshape(-1)
+            if k > 1:
+                rows[0, 1] = rows[0, 0]
+                for i, (dist, radius) in enumerate(edges[:len(rows) - 1], 1):
+                    rows[i, :2] = [[0.0, 0.0], [dist, 0.0]]
+                    row_r_o[i] = radius
+            if lead == ():
+                radii = float(radii)
+            cases.append(pytest.param(cfg, pos, head, radii,
+                                      id=f"K={k},lead={lead}"))
+    return cases
+
+
+@pytest.mark.parametrize("cfg, pos, head, r_o", _plane_cases())
+def test_plane_zone_rule_equals_stack_form(cfg, pos, head, r_o):
+    want, want_dist = stack_desired_directions(pos, head, r_o, cfg)
+    assert np.array_equal(_desired_directions(pos, head, r_o, cfg), want)
+    assert np.array_equal(_pairwise(pos)[2], np.swapaxes(want_dist, -1, -2))
+
+
 def test_soak_invariants():
     cfg = SimConfig()
     state = random_state(cfg, seed=77, spread=cfg.box_half / 2)
@@ -439,3 +515,20 @@ def test_initial_state_inside_half_width_square():
     assert np.max(np.abs(state.positions)) <= cfg.box_half / 2
     norms = np.sqrt(np.sum(state.headings ** 2, axis=1))
     assert np.allclose(norms, 1.0, atol=1e-12)
+
+
+def test_batched_initial_states_equal_per_seed_draws():
+    cfg = SimConfig()
+    seeds = [0, 3, 1009, 2**40 + 7]
+    batch = initial_states(cfg, seeds)
+    for i, seed in enumerate(seeds):
+        one = initial_state(cfg, Rng(derive_seed(seed, "boid-init")))
+        assert np.array_equal(batch.positions[i], one.positions)
+        assert np.array_equal(batch.headings[i], one.headings)
+        # the draw as two uniform_array calls, positions then angles
+        rng = Rng(derive_seed(seed, "boid-init"))
+        pos = (rng.uniform_array((cfg.n_agents, 2)) - 0.5) * cfg.box_half
+        ang = rng.uniform_array((cfg.n_agents,)) * (2.0 * np.pi)
+        assert np.array_equal(one.positions, pos)
+        assert np.array_equal(one.headings,
+                              np.stack([np.cos(ang), np.sin(ang)], axis=1))

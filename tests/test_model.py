@@ -7,6 +7,7 @@ import cfswarm.tensor as T
 from cfswarm.blocks import treatment_head
 from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ContractError, DimensionError
+from cfswarm.losses import LossWeights, loss_total
 from cfswarm.model import (CrnModel, ModelDims, ModelVariant, predict_ite,
                            scale_row, theory_step, treatment_matrix)
 from cfswarm.rng import Rng, derive_seed
@@ -712,5 +713,44 @@ def test_predict_ite_degenerate_worlds_stay_finite():
                 for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
                     assert np.all(np.isfinite(out[key])), (variant, key)
                 assert np.all((out["y_all"] > 0.0) & (out["y_all"] < 1.0))
+    finally:
+        T.set_strict_finite(False)
+
+
+def test_training_micro_batch_degenerate_worlds_stay_finite():
+    # one rollout + loss_total + backward per variant and world, with every
+    # op checked for finite output: a lone agent, a single pair, and a flock
+    # on one spot (zero pair distances and centroid offsets)
+    worlds = []
+    for k in (1, 2):
+        cfg = SimConfig(n_agents=k, n_steps=8, burn_in=5, t_i_start=5,
+                        t_i_end=7).validate()
+        worlds.append((cfg, [simulate(cfg, 31, 6), simulate(cfg, 32, None)]))
+    cfg = small_cfg()
+    worlds.append((cfg, [simulate(cfg, 33, 5), simulate(cfg, 34, None)]))
+    for ep in worlds[-1][1]:
+        ep.x_local[:, :, 0:2] = ep.x_local[:, :1, 0:2]   # every agent on one spot
+    T.set_strict_finite(True)
+    try:
+        for variant in (ModelVariant.TGV_CRN, ModelVariant.GV_CRN,
+                        ModelVariant.RNN_BASELINE):
+            for cfg, eps in worlds:
+                x_local, x_global, treatment, outcome = (
+                    np.stack([getattr(e, key) for e in eps]).astype(np.float64)
+                    for key in ("x_local", "x_global", "treatment", "outcome"))
+                model = CrnModel(variant, cfg, SMALL)
+                store = model.init_store(35)
+                tape = T.Tape()
+                leaves = store.bind(tape)
+                roll = model.rollout(leaves, x_local, x_global, treatment,
+                                     "train", rng=Rng(36))
+                total, parts = loss_total(roll, x_local, x_global, outcome,
+                                          treatment, LossWeights())
+                assert all(np.isfinite(v) for v in parts.values()), \
+                    (variant, cfg.n_agents)
+                T.backward(total)
+                grads = store.gradients()
+                assert grads and all(np.all(np.isfinite(g))
+                                     for g in grads.values()), variant
     finally:
         T.set_strict_finite(False)

@@ -253,6 +253,25 @@ def test_broadcast_gradients_unbroadcast():
     assert fd_check(build, [a, b, c]) < 1e-8
 
 
+@pytest.mark.parametrize("op", [T.add, T.sub, T.mul, T.div])
+def test_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op):
+    g = np.random.default_rng(3)
+    a, c = g.normal(size=(3, 4)), np.abs(g.normal(size=(4,))) + 0.5
+    up = g.normal(size=(3, 4))
+    rule = T.BACKWARD[op.__name__]
+
+    def contributions(x, k, live):
+        out = op(*((k, x) if live == 1 else (x, k)))
+        return rule(up, out.tape.nodes[out.node_id].saved)
+
+    for live in (0, 1):
+        both = T.Tape()
+        want = contributions(both.watch(a), both.watch(c), live)[live]
+        got = contributions(T.Tape().watch(a), c, live)
+        assert got[1 - live] is None
+        assert np.array_equal(got[live], want)
+
+
 def test_every_registered_op_passes_finite_differences():
     results = check_ops()
     worst = max(results.values())
