@@ -21,7 +21,8 @@ from .boids import SimConfig
 from .data import generate_dataset
 from .errors import ContractError
 from .losses import LossWeights, loss_total
-from .model import CrnModel, ModelDims, ModelVariant
+from .model import (CrnModel, ModelDims, ModelVariant, group_spin,
+                    theory_turn)
 from .optim import ParamStore
 from .rng import Rng, derive_seed
 
@@ -88,6 +89,25 @@ def _weighted(out, seed=0):
     return T.tsum(T.mul(out, w))
 
 
+def theory_world():
+    """theory_step inputs on every branch, away from zone and clip edges.
+
+    Returns (theta_prop, positions, headings, a_row) for the desk config:
+    two rows (untreated, treated) of four agents.  Agents 0 and 1 are 0.8
+    apart, in each other's orientation zone; agent 2 is 2.5 away, an
+    orientation neighbour only under treatment; agent 3 is beyond half the
+    attraction radius from the centroid.  Agent 2's untreated proposal and
+    agent 3's untreated turn are clipped at the turn limit.
+    """
+    positions = np.array([[[0.0, 0.0], [0.8, 0.0], [0.3, 2.5],
+                           [12.0, 0.0]]] * 2)
+    angles = np.array([[0.3, 0.6, -0.2, 1.6], [0.1, 0.4, 0.7, 3.4]])
+    headings = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    theta = np.array([[0.2, -0.1, 0.9, 0.1],
+                      [-0.25, 0.35, -0.1, -0.8]])[..., None]
+    return theta, positions, headings, np.array([0.0, 1.0])
+
+
 def op_cases():
     """One FD case per registered op kind; values keep FD well-conditioned."""
     g = np.random.default_rng(42)
@@ -98,6 +118,7 @@ def op_cases():
     m2 = g.normal(size=(4, 2))
     frac = np.tanh(a) * 0.7          # stays away from clip boundaries
     rng_seed = derive_seed(7, "opcheck")
+    theory, desk = theory_world(), SimConfig()
 
     def case(fn, arrays):
         return lambda: fd_check(fn, arrays)
@@ -149,6 +170,12 @@ def op_cases():
                             [g.normal(size=(2, 3, 4)), m2]),
         "add_lead": case(lambda xs: _weighted(T.add(xs[0], xs[1])),
                          [g.normal(size=(2, 3, 4)), b[0]]),
+        # the fused theory_step ops, on fixed inputs so no existing case's
+        # draws move
+        "theory_turn": case(lambda xs: _weighted(theory_turn(
+            xs[0], xs[1], xs[2], theory[3], desk)), list(theory[:3])),
+        "group_spin": case(lambda xs: _weighted(group_spin(
+            xs[0], xs[1])), [theory[1], theory[2] + 0.3]),
         "gaussian_sample": case(
             lambda xs: _weighted(T.gaussian_sample(xs[0], T.add(T.softplus(xs[1]), 0.1),
                                                    Rng(rng_seed))),

@@ -18,7 +18,7 @@ or swap GNNs for flat MLPs; plus a plain GRU baseline with none of the
 structure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import tensor as T
 from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp, treatment_head
 from .boids import SimConfig
 from .data import final_effects
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, DomainError
 from .optim import ParamStore
 from .rng import Rng, derive_seed
 
@@ -143,6 +143,26 @@ class StepOutput:
     traces: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class StepLatent:
+    """Step t's treatment-free half, which `CrnModel.advance` finishes under
+    a treatment.  Never mutated, so every rollout passing the same state into
+    step t can finish the same one.
+
+    state is the state entering t with the burn-in context (observed global
+    signal, positions and headings) filled in; z (and gv_crn's z_g) the
+    step's latents; theta_prop the proposed turn angles (B, K, 1) of theory
+    variants.  out holds every StepOutput field the treatment cannot reach:
+    all but y_hat, and for theory variants x_loc_hat and x_g_hat.
+    """
+
+    state: RolloutState
+    z: object
+    z_g: object
+    theta_prop: object
+    out: StepOutput
+
+
 _TRACE_KEYS = ("mu_pri", "sigma_pri", "mu_enc", "sigma_enc", "mu_dec",
                "sigma_dec")
 
@@ -165,90 +185,197 @@ def _split_state(x_loc, cfg):
     return pos, head
 
 
-def theory_step(theta_prop, positions, headings, a_row, cfg):
-    """Integrate proposed turn angles under the rule-based body constraints.
+def _unit_backward(gx, gy, ux, uy, inv):
+    """Gradient through u = rel / sqrt(|rel|^2 + eps) given inv = 1/sqrt(...):
+    inv * (g - u (u . g)), as x and y planes."""
+    along = ux * gx + uy * gy
+    return inv * (gx - ux * along), inv * (gy - uy * along)
 
-    theta_prop (B, K, 1) holds proposed turn angles in radians; positions and
-    headings (B, K, 2) are the current raw state.  a_row (B,) selects the
-    orientation radius the alignment rule uses.  Zone memberships are taken
-    from current values and treated as constants; gradients flow through the
-    angles and positions.  Returns (x_loc_hat, x_g_hat, new_pos, new_head)
-    with the realized turn guaranteed inside the turn limit.
+
+def _centroid_backward(gx, gy):
+    """Gradient through rel = pos - mean_k(pos), as a (B, K, 2) array."""
+    g = np.stack([gx, gy], axis=-1)
+    return g - g.sum(axis=1, keepdims=True) * (1.0 / g.shape[1])
+
+
+def theory_turn(theta_prop, positions, headings, a_row, cfg):
+    """theory_step's integrator as one tape op: (B, K, 5) raw covariates.
+
+    Works on (B, K) coordinate planes; zone memberships are constants.  It
+    saves the two clip masks, the proposal's cos and sin, the centroid
+    offsets' unit vectors and inverse norms, the alignment target and its
+    inverse norm, the chosen direction and the branch masks.
     """
-    positions, headings = T._lift(positions), T._lift(headings)
-    b, k, _ = positions.array.shape
+    theta_prop, positions, headings = (
+        T._lift(theta_prop), T._lift(positions), T._lift(headings))
+    pos, head = positions.array, headings.array
+    k = pos.shape[1]
     beta = cfg.max_turn_rad
-    # per-agent scalars are (B, K, 1) columns throughout
-    theta = T.clip(theta_prop, -beta, beta)
+    th = theta_prop.array[..., 0]
+    in_prop = (th >= -beta) & (th <= beta)
+    th = np.clip(th, -beta, beta)
+    c, s = np.cos(th), np.sin(th)
+    hx, hy = head[..., 0], head[..., 1]
+    px = hx * c - hy * s
+    py = hx * s + hy * c
 
-    hx = T.slice_axis(headings, 2, 0, 1)
-    hy = T.slice_axis(headings, 2, 1, 2)
-    c, s = T.cos(theta), T.sin(theta)
-    px = T.sub(T.mul(hx, c), T.mul(hy, s))
-    py = T.add(T.mul(hx, s), T.mul(hy, c))
+    rel = pos - pos.sum(axis=1, keepdims=True) * (1.0 / k)
+    rx, ry = rel[..., 0], rel[..., 1]
+    rel_sq = rx * rx + ry * ry
+    inv = 1.0 / np.sqrt(rel_sq + _EPS)
+    ux, uy = rx * inv, ry * inv
 
-    centroid = T.mul(T.sum_axis(positions, 1, keepdims=True), 1.0 / k)
-    rel = T.sub(positions, centroid)
-    rel_sq = T.sum_axis(T.square(rel), 2, keepdims=True)
-    inv = T.div(1.0, T.sqrt(T.add(rel_sq, _EPS)))
-    tx = T.neg(T.mul(T.slice_axis(rel, 2, 0, 1), inv))
-    ty = T.neg(T.mul(T.slice_axis(rel, 2, 1, 2), inv))
-
-    # zone bookkeeping on constants, from (B, k, j) planes of x_k - x_j
-    # and y_k - y_j
-    px_c, py_c = positions.array[..., 0], positions.array[..., 1]
-    ddx = px_c[:, :, None] - px_c[:, None, :]
-    ddy = py_c[:, :, None] - py_c[:, None, :]
+    # zone bookkeeping on (B, k, j) planes of x_k - x_j and y_k - y_j
+    x, y = pos[..., 0], pos[..., 1]
+    ddx = x[:, :, None] - x[:, None, :]
+    ddy = y[:, :, None] - y[:, None, :]
     dist = np.sqrt(ddx * ddx + ddy * ddy)
     off = ~np.eye(k, dtype=bool)[None]
     r_o = np.where(np.asarray(a_row, dtype=np.float64) > 0.5,
                    cfg.orientation_radius_treated,
                    cfg.orientation_radius)[:, None, None]
-    orient_pairs = (dist > cfg.repulsion_radius) & (dist <= r_o) & off
+    pairs = (dist > cfg.repulsion_radius) & (dist <= r_o) & off
     has_rep = ((dist < cfg.repulsion_radius) & off).any(axis=2)
-    n_orient = orient_pairs.sum(axis=2)
-    far = np.sqrt(rel_sq.array[..., 0]) > cfg.attraction_radius / 2.0
-    use_orient = (~far) & (n_orient > 0) & (~has_rep)
+    n_orient = pairs.sum(axis=2)
+    far = np.sqrt(rel_sq) > cfg.attraction_radius / 2.0
 
-    # alignment target: mean heading over orientation-zone neighbours
-    mask = orient_pairs.astype(np.float64)[..., None]
-    nbr = T.sum_axis(T.mul(T.reshape(headings, (b, 1, k, 2)), mask), 2)
-    denom = 1.0 / np.maximum(n_orient, 1)[..., None]
-    nbr = T.mul(nbr, denom)
-    bx = T.add(T.mul(T.slice_axis(nbr, 2, 0, 1), 0.5), T.mul(px, 0.5))
-    by = T.add(T.mul(T.slice_axis(nbr, 2, 1, 2), 0.5), T.mul(py, 0.5))
-    bn = T.div(1.0, T.sqrt(T.add(T.add(T.square(bx), T.square(by)), _EPS)))
-    bx, by = T.mul(bx, bn), T.mul(by, bn)
-
-    w_far = far.astype(np.float64)[..., None]
-    w_or = use_orient.astype(np.float64)[..., None]
-    w_keep = 1.0 - w_far - w_or
-    dx = T.add(T.add(T.mul(tx, w_far), T.mul(bx, w_or)), T.mul(px, w_keep))
-    dy = T.add(T.add(T.mul(ty, w_far), T.mul(by, w_or)), T.mul(py, w_keep))
+    # alignment target: own proposal blended with the mean neighbour heading
+    pairs = pairs.astype(np.float64)
+    denom = 1.0 / np.maximum(n_orient, 1)
+    nbr = np.matmul(pairs, head)
+    bx = nbr[..., 0] * denom * 0.5 + px * 0.5
+    by = nbr[..., 1] * denom * 0.5 + py * 0.5
+    # a target cancelled exactly (head-on neighbours) keeps the proposal
+    orient = (~far) & (n_orient > 0) & (~has_rep) & ((bx != 0.0) | (by != 0.0))
+    bn = 1.0 / np.sqrt(bx * bx + by * by + _EPS)
+    bx, by = bx * bn, by * bn
+    dx = np.where(far, -ux, np.where(orient, bx, px))
+    dy = np.where(far, -uy, np.where(orient, by, py))
 
     # final turn limit against the current heading, then rotate exactly
-    cro = T.sub(T.mul(hx, dy), T.mul(hy, dx))
-    dot = T.add(T.mul(hx, dx), T.mul(hy, dy))
-    turn = T.clip(T.atan2(cro, dot), -beta, beta)
-    ct, st = T.cos(turn), T.sin(turn)
-    nx = T.sub(T.mul(hx, ct), T.mul(hy, st))
-    ny = T.add(T.mul(hx, st), T.mul(hy, ct))
+    cro = hx * dy - hy * dx
+    dot = hx * dx + hy * dy
+    if np.any((cro == 0.0) & (dot == 0.0)):
+        raise DomainError("theory_step: zero heading has no turn angle")
+    turn = np.arctan2(cro, dot)
+    in_turn = (turn >= -beta) & (turn <= beta)
+    turn = np.clip(turn, -beta, beta)
+    ct, st = np.cos(turn), np.sin(turn)
+    nx = hx * ct - hy * st
+    ny = hx * st + hy * ct
 
     step_len = cfg.speed * cfg.dt
-    new_head = T.concat([nx, ny], 2)
-    new_pos = T.add(positions, T.mul(new_head, step_len))
-    x_loc_hat = T.concat([new_pos, T.mul(new_head, cfg.speed), turn], 2)
+    out = np.empty(pos.shape[:2] + (5,))
+    out[..., 0] = x + nx * step_len
+    out[..., 1] = y + ny * step_len
+    out[..., 2] = nx * cfg.speed
+    out[..., 3] = ny * cfg.speed
+    out[..., 4] = turn
+    saved = (in_prop, c, s, hx, hy, ux, uy, inv, far, orient, pairs, denom,
+             bx, by, bn, dx, dy, cro, dot, in_turn, ct, st, step_len,
+             cfg.speed, tuple(t.node_id is not None
+                              for t in (theta_prop, positions, headings)))
+    return T._emit("theory_turn", (theta_prop, positions, headings), saved,
+                   out)
 
-    # group angular momentum of the predicted state
-    cen2 = T.mul(T.sum_axis(new_pos, 1, keepdims=True), 1.0 / k)
-    rel2 = T.sub(new_pos, cen2)
-    inv2 = T.div(1.0, T.sqrt(T.add(
-        T.sum_axis(T.square(rel2), 2, keepdims=True), _EPS)))
-    rx = T.mul(T.slice_axis(rel2, 2, 0, 1), inv2)
-    ry = T.mul(T.slice_axis(rel2, 2, 1, 2), inv2)
-    spin = T.sub(T.mul(rx, ny), T.mul(ry, nx))
-    x_g_hat = T.absolute(T.mul(T.sum_axis(spin, 1), 1.0 / k))
-    return x_loc_hat, x_g_hat, new_pos, new_head
+
+def _bw_theory_turn(g, saved):
+    (in_prop, c, s, hx, hy, ux, uy, inv, far, orient, pairs, denom, bx, by,
+     bn, dx, dy, cro, dot, in_turn, ct, st, step_len, speed,
+     (need_theta, need_pos, need_head)) = saved
+    gnx = g[..., 0] * step_len + g[..., 2] * speed
+    gny = g[..., 1] * step_len + g[..., 3] * speed
+    # n = h rotated by the clipped turn = clip(atan2(cro, dot))
+    gt = g[..., 4] + (gny * hx - gnx * hy) * ct - (gnx * hx + gny * hy) * st
+    gt = gt * in_turn
+    den = cro * cro + dot * dot
+    gcro, gdot = gt * dot / den, -gt * cro / den
+    gdx = gdot * hx - gcro * hy
+    gdy = gcro * hx + gdot * hy
+    # the direction is one of three branches; the blend feeds the proposal
+    keep = ~(far | orient)
+    gbx, gby = _unit_backward(np.where(orient, gdx, 0.0),
+                              np.where(orient, gdy, 0.0), bx, by, bn)
+    gpx = np.where(keep, gdx, 0.0) + gbx * 0.5
+    gpy = np.where(keep, gdy, 0.0) + gby * 0.5
+    g_theta = g_pos = g_head = None
+    if need_theta:
+        g_theta = ((gpy * hx - gpx * hy) * c
+                   - (gpx * hx + gpy * hy) * s) * in_prop
+        g_theta = g_theta[..., None]
+    if need_pos:
+        g_pos = _centroid_backward(*_unit_backward(
+            np.where(far, -gdx, 0.0), np.where(far, -gdy, 0.0), ux, uy, inv))
+        g_pos += g[..., 0:2]
+    if need_head:
+        g_nbr = np.stack([gbx, gby], axis=-1) * (denom * 0.5)[..., None]
+        g_head = np.matmul(pairs.transpose(0, 2, 1), g_nbr)
+        g_head[..., 0] += (gnx * ct + gny * st + gcro * dy + gdot * dx
+                           + gpx * c + gpy * s)
+        g_head[..., 1] += (gny * ct - gnx * st - gcro * dx + gdot * dy
+                           + gpy * c - gpx * s)
+    return g_theta, g_pos, g_head
+
+
+def group_spin(new_pos, new_head):
+    """Group angular momentum |mean_k u_k x n_k| as one tape op, (B, 1).
+
+    u_k is agent k's unit offset from the centroid of new_pos (B, K, 2) and
+    n_k its heading in new_head (B, K, 2).
+    """
+    new_pos, new_head = T._lift(new_pos), T._lift(new_head)
+    pos, head = new_pos.array, new_head.array
+    k = pos.shape[1]
+    rel = pos - pos.sum(axis=1, keepdims=True) * (1.0 / k)
+    rx, ry = rel[..., 0], rel[..., 1]
+    inv = 1.0 / np.sqrt(rx * rx + ry * ry + _EPS)
+    ux, uy = rx * inv, ry * inv
+    nx, ny = head[..., 0], head[..., 1]
+    spin = (ux * ny - uy * nx).sum(axis=1, keepdims=True) * (1.0 / k)
+    saved = (ux, uy, inv, nx, ny, np.sign(spin) * (1.0 / k),
+             (new_pos.node_id is not None, new_head.node_id is not None))
+    return T._emit("group_spin", (new_pos, new_head), saved,
+                   np.absolute(spin))
+
+
+def _bw_group_spin(g, saved):
+    ux, uy, inv, nx, ny, scale, (need_pos, need_head) = saved
+    gs = g * scale
+    g_pos = g_head = None
+    if need_pos:
+        g_pos = _centroid_backward(*_unit_backward(gs * ny, -gs * nx,
+                                                   ux, uy, inv))
+    if need_head:
+        g_head = np.stack([-gs * uy, gs * ux], axis=-1)
+    return g_pos, g_head
+
+
+T.BACKWARD["theory_turn"] = _bw_theory_turn
+T.BACKWARD["group_spin"] = _bw_group_spin
+
+
+def theory_step(theta_prop, positions, headings, a_row, cfg):
+    """Integrate proposed turn angles under the rule-based body constraints.
+
+    theta_prop (B, K, 1) holds proposed turn angles in radians; positions and
+    headings (B, K, 2) are the current raw state.  a_row (B,) selects the
+    orientation radius the alignment rule uses.  Per agent, the proposal is
+    clipped to the turn limit, then replaced by the direction toward the
+    group centroid (agents farther than half the attraction radius), or by
+    its blend with the mean heading of orientation-zone neighbours (no
+    repulsion-zone neighbour; a blend that cancels exactly keeps the
+    proposal), and the turn toward that direction is clipped again.  Zone
+    memberships come from current values and are constants; gradients flow
+    through the angles, positions and headings.
+
+    Returns (x_loc_hat, x_g_hat, new_pos, new_head).  The integrator is one
+    tape op emitting x_loc_hat (B, K, 5), whose position and velocity slices
+    are new_pos and new_head; the group spin x_g_hat (B, 1) is a second op on
+    those slices, so a step records five tape nodes.
+    """
+    x_loc_hat = theory_turn(theta_prop, positions, headings, a_row, cfg)
+    new_pos, new_head = _split_state(x_loc_hat, cfg)
+    return x_loc_hat, group_spin(new_pos, new_head), new_pos, new_head
 
 
 class CrnModel:
@@ -428,7 +555,8 @@ class CrnModel:
 
     def step(self, leaves, state: RolloutState, t: int, x_local, x_global,
              treatment, mode: str, rng: Rng | None = None,
-             sample_latents: bool = False, trace: bool = False):
+             sample_latents: bool = False, trace: bool = False,
+             latent: StepLatent | None = None):
         """Advance a rollout through step t; returns (next state, StepOutput).
 
         Arguments are those of `rollout`, already checked, with mode and
@@ -437,22 +565,44 @@ class CrnModel:
         treatment only at column t, so rollouts whose treatments agree before
         s pass the same state into step s; states are never mutated, so such
         rollouts can share it.  The next state is None after the last step.
+
+        Except in rnn_baseline, whose GRU reads the treatment, a step is
+        `latent` (treatment-free) followed by `advance`.  Rollouts sharing a
+        state can share step t's latent half too: pass the one `latent`
+        returned for that state and these settings.
         """
         if self.variant is ModelVariant.RNN_BASELINE:
             return self._baseline_step(leaves, state, t, x_local, x_global,
                                        treatment)
+        if latent is None:
+            latent = self.latent(leaves, state, t, x_local, x_global, mode,
+                                 rng, sample_latents, trace)
+        return self.advance(leaves, latent, t, x_local, x_global, treatment)
+
+    def latent(self, leaves, state: RolloutState, t: int, x_local, x_global,
+               mode: str, rng: Rng | None = None,
+               sample_latents: bool = False,
+               trace: bool = False) -> StepLatent | None:
+        """Step t's treatment-free half: prior (or posterior) -> z ->
+        decoder -> proposal, the treatment head, and the ELBO terms.
+
+        Arguments are those of `step`.  Returns None for rnn_baseline, which
+        has no such half.
+        """
+        if self.variant is ModelVariant.RNN_BASELINE:
+            return None
         cfg = self.cfg
         n_steps, burn, row = cfg.n_steps, cfg.burn_in, self._row
         gv = self.variant is ModelVariant.GV_CRN
         h, h_g = state.h, state.h_g
-        ctx_g, pos, head = state.ctx_g, state.pos, state.head
         if t < burn:
-            ctx_g = T._lift(x_global[:, t])
+            pos = head = None
             if self.variant.uses_theory:
                 pos, head = _split_state(T._lift(x_local[:, t]), cfg)
-        a_col = treatment[:, t:t + 1]
+            state = RolloutState(h, h_g, None, T._lift(x_global[:, t]), pos,
+                                 head)
         train_burn = mode == "train" and t < burn
-        kl = recon = g_kl = g_recon = None
+        kl = recon = g_kl = g_recon = z_g = x_g_hat = None
 
         mu_p, sig_p = self.prior_step(leaves, h)
         use_post = train_burn and self.enc_net is not None
@@ -469,10 +619,9 @@ class CrnModel:
             z = mu_z
 
         mu_d, sig_d = self.decode_step(leaves, z, h)
+        theta_prop = x_loc_hat = None
         if self.variant.uses_theory:
             theta_prop = T.mul(T.tanh(mu_d), np.pi)
-            x_loc_hat, x_g_hat, pos, head = theory_step(
-                theta_prop, pos, head, treatment[:, t], cfg)
             recon_mu, recon_sig = theta_prop, sig_d
             recon_target = (x_local[:, t + 1, :, 4:5]
                             if t + 1 < n_steps else None)
@@ -481,7 +630,6 @@ class CrnModel:
             recon_mu, recon_sig = mu_d, sig_d
             recon_target = (x_local[:, t + 1] * row
                             if t + 1 < n_steps else None)
-            x_g_hat = None  # filled by the global branch below
 
         if train_burn and self.variant is not ModelVariant.TG_CRN:
             if recon_target is None:
@@ -506,7 +654,6 @@ class CrnModel:
             if train_burn:
                 g_recon = T.gaussian_nll(g_mu_d, g_sig_d, x_global[:, t + 1])
 
-        y = self.outcome_step(leaves, z, ctx_g, a_col)
         a_prob, a_logit = treatment_head(
             self.mlp_a, leaves, _pool(z, cfg.n_agents))
         traces = {}
@@ -516,8 +663,26 @@ class CrnModel:
             if use_post:
                 pairs["mu_enc"], pairs["sigma_enc"] = mu_q, sig_q
             traces = {key: val.array.copy() for key, val in pairs.items()}
-        so = StepOutput(y, a_prob, a_logit, x_loc_hat, x_g_hat,
+        so = StepOutput(None, a_prob, a_logit, x_loc_hat, x_g_hat,
                         kl, recon, g_kl, g_recon, traces)
+        return StepLatent(state, z, z_g, theta_prop, so)
+
+    def advance(self, leaves, latent: StepLatent, t: int, x_local,
+                x_global, treatment):
+        """Step t's treatment half: the theory integrator under the
+        treatment's orientation radius, the outcome head and the
+        recurrence.  Returns (next state, StepOutput) as `step` does."""
+        cfg = self.cfg
+        n_steps, burn, row = cfg.n_steps, cfg.burn_in, self._row
+        state, z = latent.state, latent.z
+        pos, head = state.pos, state.head
+        x_loc_hat, x_g_hat = latent.out.x_loc_hat, latent.out.x_g_hat
+        if self.variant.uses_theory:
+            x_loc_hat, x_g_hat, pos, head = theory_step(
+                latent.theta_prop, pos, head, treatment[:, t], cfg)
+        y = self.outcome_step(leaves, z, state.ctx_g, treatment[:, t:t + 1])
+        so = replace(latent.out, y_hat=y, x_loc_hat=x_loc_hat,
+                     x_g_hat=x_g_hat)
 
         if t + 1 == n_steps:
             return None, so
@@ -527,9 +692,10 @@ class CrnModel:
         else:
             nxt_sc = T.mul(x_loc_hat, row)
             nxt_g = x_g_hat
-        h = self.recurrence_step(leaves, nxt_sc, z, h)
-        if gv:
-            h_g = self.g_rnn(leaves, T.concat([nxt_g, z_g], 1), h_g)
+        h = self.recurrence_step(leaves, nxt_sc, z, state.h)
+        h_g = state.h_g
+        if self.variant is ModelVariant.GV_CRN:
+            h_g = self.g_rnn(leaves, T.concat([nxt_g, latent.z_g], 1), h_g)
         return RolloutState(h, h_g, None, nxt_g, pos, head), so
 
     def _baseline_step(self, leaves, state, t, x_local, x_global, treatment):
@@ -583,11 +749,17 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     never-treated trunk is therefore stepped once through all T steps, and
     each treated arm forks from the trunk's state entering step s and steps
     only s..T-1: T + sum(T - s) model steps instead of one T-step rollout
-    per arm (29 instead of 84 on the desk world).  Deterministic outputs
-    equal the per-arm rollouts bitwise.  With mc_samples > 0 the trunk draws
-    from the never-treated arm's key, so the arms share their latent draws
-    before they fork (common random numbers); each treated arm draws from
-    its own key from its start step on.
+    per arm (29 instead of 84 on the desk world).  Step s's treatment-free
+    half (`CrnModel.latent`: prior, latent draw, decoder and treatment head)
+    reads no treatment either, so the trunk computes it once and every arm
+    forking at s finishes it with `CrnModel.advance`: T + sum(T - s) - A
+    latent halves for A treated arms (24 instead of 29).  Only the current
+    step's latent half is alive.  Deterministic outputs equal the per-arm
+    rollouts bitwise.  With mc_samples > 0 the trunk draws from the
+    never-treated arm's key, so the arms share their latent draws through
+    their start step s, whose latent no treatment reaches (common random
+    numbers on everything the treatment cannot touch); each treated arm
+    draws from its own key from step s + 1 on.
 
     Returns a dict with y_final (n, A), tau_hat (n, A-1), best_timing (n,),
     y_all (n, A, T), a_all, and predicted-state traces when trace=True.
@@ -620,10 +792,10 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
         xb, gb = x_local[rows], x_global[rows]
         b = xb.shape[0]
 
-        def tail(state, s, key):
-            """Steps s..T-1 of the arm starting at s, from the state at s."""
-            rng, a_seq = rng_for(key), treatment_matrix(b, n_steps, s)
-            outs = []
+        def tail(state, s, a_seq, key):
+            """Steps s..T-1 of the arm with treatments a_seq, from the state
+            at s."""
+            rng, outs = rng_for(key), []
             for t in range(s, n_steps):
                 state, so = model.step(leaves, state, t, xb, gb, a_seq,
                                        "infer", rng, sample)
@@ -646,11 +818,18 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
             sample = model._sampling("infer", rng, mc_samples > 0)
             state, trunk = model.init_state(b), []
             for t in range(n_steps):
-                # arms starting at t fork here, so only one state is alive
+                # arms starting at t fork here and finish the trunk's latent
+                # half of step t, so only one state and one latent are alive
+                latent = model.latent(leaves, state, t, xb, gb, "infer", rng,
+                                      sample)
                 for ai in [ai for ai, s in enumerate(arms) if s == t]:
-                    add(ai, trunk + tail(state, t, p * n_arms + ai))
+                    a_seq = treatment_matrix(b, n_steps, t)
+                    fork, so = model.step(leaves, state, t, xb, gb, a_seq,
+                                          "infer", rng, sample, latent=latent)
+                    add(ai, trunk + [so] + tail(fork, t + 1, a_seq,
+                                                p * n_arms + ai))
                 state, so = model.step(leaves, state, t, xb, gb, never,
-                                       "infer", rng, sample)
+                                       "infer", rng, sample, latent=latent)
                 trunk.append(so)
             add(n_arms - 1, trunk)
 

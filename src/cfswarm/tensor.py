@@ -662,6 +662,10 @@ def backward(loss: Tensor):
         raise ContractError("backward requires a scalar loss")
     tape = loss.tape
     grads = {loss.node_id: np.ones(tape.nodes[loss.node_id].shape, dtype=np.float64)}
+    # ids whose gradient is a sum this pass allocated; only those are added
+    # into in place.  Any other entry may be a rule's saved forward array, a
+    # broadcast, a view, or the same array another input received.
+    owned = set()
     for nid in range(loss.node_id, -1, -1):
         g = grads.get(nid)
         if g is None:
@@ -678,8 +682,11 @@ def backward(loss: Tensor):
             if prev is None:
                 grads[input_id] = (contrib if contrib.shape == tape.nodes[input_id].shape
                                    else np.broadcast_to(contrib, tape.nodes[input_id].shape).copy())
+            elif input_id in owned:
+                np.add(prev, contrib, out=prev)
             else:
                 grads[input_id] = prev + contrib
+                owned.add(input_id)
     for nid, node in enumerate(tape.nodes):
         if node.kind == "leaf" and nid not in grads:
             grads[nid] = np.zeros(node.shape, dtype=np.float64)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cfswarm.tensor as T
-from cfswarm.blocks import treatment_head
+from cfswarm.blocks import GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.losses import LossWeights, loss_total
@@ -175,8 +175,11 @@ def test_free_run_theory_step_records_at_most_one_reshape():
     headings = tape.watch(x_local[:, 4, :, 2:4] / cfg.speed)
     theta = tape.watch(np.random.default_rng(0).uniform(
         -2.0, 2.0, size=(3, cfg.n_agents, 1)))
+    n_leaves = len(tape.nodes)
     theory_step(theta, positions, headings, np.array([0.0, 1.0, 0.0]), cfg)
     assert sum(node.kind == "reshape" for node in tape.nodes) <= 1
+    # one fused integrator, two slices and a scale, one fused group spin
+    assert len(tape.nodes) - n_leaves <= 5
 
 
 # step composition oracles ---------------------------------------------------
@@ -688,6 +691,50 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
                                       got[key][:, -1, :s]), (s, key)
             assert not np.array_equal(got["a_all"][:, ai, s:],
                                       got["a_all"][:, -1, s:])
+            # step s's latent half reads no treatment: it is the trunk's draw
+            assert np.array_equal(got["a_all"][:, ai, s],
+                                  got["a_all"][:, -1, s]), s
+
+
+def head_on_world():
+    """Two episodes of a K = 2 pair 0.75 apart in each other's orientation
+    zone, heading straight at each other at every step."""
+    cfg = SimConfig(n_agents=2, n_steps=8, burn_in=5, t_i_start=5,
+                    t_i_end=7).validate()
+    x_local = np.zeros((2, cfg.n_steps, 2, 5))
+    x_local[:, :, 1, 0] = 0.75
+    x_local[:, :, 0, 2] = cfg.speed
+    x_local[:, :, 1, 2] = -cfg.speed
+    return cfg, x_local, np.zeros((2, cfg.n_steps, 1))
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.TGV_CRN,
+                                     ModelVariant.GV_CRN])
+def test_predict_ite_shares_each_start_steps_latent_half(variant,
+                                                         monkeypatch):
+    # prior and decoder GNN per latent half: the trunk's T steps plus each
+    # arm's steps after its start, T + sum(T - s) - A halves per chunk
+    calls = []
+    forward = GnnBlock.__call__
+
+    def counted(block, *args, **kwargs):
+        calls.append(block.name)
+        return forward(block, *args, **kwargs)
+
+    monkeypatch.setattr(GnnBlock, "__call__", counted)
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=32)
+    x_local, x_global, _ = batch_from_sim(cfg, 3, seed=32)
+    n_steps = cfg.n_steps
+    for arms in (cfg.intervention_steps, [11, 9, 9], [3]):
+        for chunk in (3, 2):
+            calls.clear()
+            predict_ite(model, store, x_local, x_global, arms=arms,
+                        chunk=chunk)
+            halves = n_steps + sum(n_steps - s for s in arms) - len(arms)
+            n_chunks = -(-3 // chunk)
+            assert len(calls) == 2 * halves * n_chunks, (arms, chunk)
+            assert calls.count("prior") == calls.count("dec")
 
 
 def test_predict_ite_degenerate_worlds_stay_finite():
@@ -701,13 +748,17 @@ def test_predict_ite_degenerate_worlds_stay_finite():
     x_local, x_global, _ = batch_from_sim(cfg, 2, seed=29)
     x_local[:, :, :, 0:2] = x_local[:, :, :1, 0:2]   # every agent on one spot
     worlds.append((cfg, x_local, x_global))
+    worlds.append(head_on_world())
     T.set_strict_finite(True)
     try:
         for variant in (ModelVariant.TGV_CRN, ModelVariant.GV_CRN,
                         ModelVariant.RNN_BASELINE):
             for cfg, x_local, x_global in worlds:
                 model = CrnModel(variant, cfg, SMALL)
-                store = model.init_store(30)
+                # zero parameters propose no turn, so the head-on pair's
+                # alignment targets cancel exactly at every burn-in step
+                store = (zero_store(model) if x_local is worlds[-1][1]
+                         else model.init_store(30))
                 out = predict_ite(model, store, x_local, x_global, chunk=1,
                                   mc_samples=2, trace=True)
                 for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
@@ -730,6 +781,12 @@ def test_training_micro_batch_degenerate_worlds_stay_finite():
     worlds.append((cfg, [simulate(cfg, 33, 5), simulate(cfg, 34, None)]))
     for ep in worlds[-1][1]:
         ep.x_local[:, :, 0:2] = ep.x_local[:, :1, 0:2]   # every agent on one spot
+    # a head-on pair under zero parameters: cancelled alignment targets
+    cfg, head_on, _ = head_on_world()
+    eps = [simulate(cfg, 37, 6), simulate(cfg, 38, None)]
+    for ep, x_local in zip(eps, head_on):
+        ep.x_local[:] = x_local
+    worlds.append((cfg, eps))
     T.set_strict_finite(True)
     try:
         for variant in (ModelVariant.TGV_CRN, ModelVariant.GV_CRN,
@@ -739,7 +796,8 @@ def test_training_micro_batch_degenerate_worlds_stay_finite():
                     np.stack([getattr(e, key) for e in eps]).astype(np.float64)
                     for key in ("x_local", "x_global", "treatment", "outcome"))
                 model = CrnModel(variant, cfg, SMALL)
-                store = model.init_store(35)
+                store = (zero_store(model) if eps is worlds[-1][1]
+                         else model.init_store(35))
                 tape = T.Tape()
                 leaves = store.bind(tape)
                 roll = model.rollout(leaves, x_local, x_global, treatment,

@@ -272,6 +272,29 @@ def test_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op):
         assert np.array_equal(got[live], want)
 
 
+@pytest.mark.parametrize("mul_first", [True, False])
+def test_repeated_operands_accumulate_into_fresh_arrays(mul_first):
+    # add(x, x) hands one upstream array to both of its operands, and so
+    # does the add joining the two branches; mul(x, x) saves x itself.  x
+    # gets four contributions, and none may be summed into an array that
+    # another node's gradient or a saved forward value still uses.
+    xv = np.array([0.5, -1.5, 2.0])
+    w = np.array([1.0, 2.0, -3.0])
+    tape = T.Tape()
+    x = tape.watch(xv.copy())
+    if mul_first:
+        prod = T.mul(x, x)
+        twice = T.add(x, x)
+    else:
+        twice = T.add(x, x)
+        prod = T.mul(x, x)
+    T.backward(T.tsum(T.mul(T.add(twice, prod), w)))
+    assert np.array_equal(tape.grad(x), 2.0 * w + 2.0 * xv * w)
+    assert np.array_equal(x.array, xv)
+    saved = tape.nodes[prod.node_id].saved
+    assert np.array_equal(saved[0], xv) and np.array_equal(saved[1], xv)
+
+
 def test_every_registered_op_passes_finite_differences():
     results = check_ops()
     worst = max(results.values())
