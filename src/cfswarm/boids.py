@@ -98,7 +98,9 @@ def _pairwise(positions: np.ndarray):
     x, y = positions[..., 0], positions[..., 1]
     dx = x[..., :, None] - x[..., None, :]
     dy = y[..., :, None] - y[..., None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
     idx = np.arange(positions.shape[-2])
     dist[..., idx, idx] = np.inf
     return dx, dy, dist
@@ -115,7 +117,8 @@ def zone_neighbors(state: BoidState, k: int, r_o: float, cfg: SimConfig):
 
 def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Normalize rows; rows with ~zero norm fall back to the given direction."""
-    norms = np.sqrt(np.sum(v * v, axis=-1))
+    vx, vy = v[..., 0], v[..., 1]
+    norms = np.sqrt(vx * vx + vy * vy)
     ok = norms > _TINY
     out = np.where(ok[..., None], v / np.where(ok, norms, 1.0)[..., None],
                    fallback)
@@ -128,7 +131,11 @@ def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
     `r_o` is a scalar or one orientation radius per batch row.  Pair terms
     are (..., j, k) planes of x and y, which equal (..., k, j, 2) stacks
     bit for bit: the distance adds the same two squares, and each
-    neighbour sum reduces axis -2 in the same j order.
+    neighbour sum reduces over j in the same order.  The zones are float
+    0/1 planes, and every masked neighbour sum and zone count is one
+    `einsum` that keeps j as its outer, strided axis, so each agent's sum
+    still adds j = 0, 1, ... in turn.  `optimize` is never passed: it may
+    route a contraction through BLAS, which adds in another order.
     """
     ux, uy, dist = _pairwise(positions)
     # in place: the differences become unit vectors (0/0 between
@@ -140,26 +147,24 @@ def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
     uy[~np.isfinite(uy)] = 0.0
 
     r_o = np.asarray(r_o)[..., None, None]
-    rep = dist < cfg.repulsion_radius
-    orient = (dist > cfg.repulsion_radius) & (dist <= r_o)
-    attract = (dist > r_o) & (dist <= cfg.attraction_radius)
+    rep = (dist < cfg.repulsion_radius).astype(np.float64)
+    orient = ((dist > cfg.repulsion_radius) & (dist <= r_o)).astype(np.float64)
+    attract = ((dist > r_o) & (dist <= cfg.attraction_radius)).astype(np.float64)
 
-    def nbr_sum(vx, vy, mask):
-        return np.stack([(vx * mask).sum(axis=-2), (vy * mask).sum(axis=-2)],
+    def nbr_sum(vx, vy, mask, spec="...jk,...jk->...k"):
+        return np.stack([np.einsum(spec, vx, mask), np.einsum(spec, vy, mask)],
                         axis=-1)
 
-    n_r = rep.sum(axis=-2)
-    n_o = orient.sum(axis=-2)
-    n_a = attract.sum(axis=-2)
+    n_r, n_o, n_a = (np.einsum("...jk->...k", m) for m in (rep, orient, attract))
 
     rep_dir = _unit_rows(-nbr_sum(ux, uy, rep), headings)
 
-    o_counts = np.where(n_o > 0, n_o, 1)[..., None]
-    o_term = nbr_sum(headings[..., :, 0, None], headings[..., :, 1, None],
-                     orient) / o_counts
+    o_counts = np.where(n_o > 0, n_o, 1.0)[..., None]
+    o_term = nbr_sum(headings[..., 0], headings[..., 1], orient,
+                     "...j,...jk->...k") / o_counts
     o_hat = _unit_rows(o_term, headings)
 
-    a_counts = np.where(n_a > 0, n_a, 1)[..., None]
+    a_counts = np.where(n_a > 0, n_a, 1.0)[..., None]
     a_hat = _unit_rows(nbr_sum(ux, uy, attract) / a_counts, headings)
 
     both = (n_o > 0) & (n_a > 0)
@@ -329,6 +334,9 @@ def simulate_batch(cfg: SimConfig, seeds, starts, forks=()) -> TrajectorySample:
     independent of the batch around it: `simulate` is the one-row case.
     """
     cfg.validate()
+    if len(seeds) == 0 or len(starts) != len(seeds):
+        raise ContractError("simulate_batch needs one start per seed and at "
+                            "least one episode")
     for s in [*starts, *forks]:
         if s is not None and s not in cfg.intervention_steps:
             raise ConfigError(f"intervention step {s} outside the window")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cfswarm import boids
 from cfswarm.boids import (BoidState, SimConfig, _desired_directions,
                            _pairwise, _unit_rows, clamp_turn,
                            desired_direction, initial_state, initial_states,
@@ -286,22 +287,22 @@ def test_step_matches_scalar_oracle(seed):
 
 
 def _batch_cases():
-    """(cfg, positions (B, K, 2), headings (B, K, 2)) batches."""
+    """(cfg, positions (B, K, 2), headings (B, K, 2)) batches; the last
+    is a full 128-row simulation chunk."""
     rng = Rng(2024)
     cases = []
-    for k in (1, 2, 20):
+    for k, b in [(k, b) for k in (1, 2, 20) for b in (1, 7)] + [(20, 128)]:
         cfg = SimConfig(n_agents=k)
-        for b in (1, 7):
-            spread = 3.0 if k > 2 else 0.6
-            pos = rng.uniform_array((b, k, 2), -spread, spread)
-            ang = rng.uniform_array((b, k), 0.0, 2.0 * np.pi)
-            head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            if b > 1 and k > 1:
-                pos[1, 1] = pos[1, 0]          # coincident agents
-                pos[2, :, 0] = cfg.box_half    # every agent on a wall
-                head[2, :] = [1.0, 0.0]        # heading out of the box
-                pos[3] = pos[3, :1]            # the whole flock on one spot
-            cases.append(pytest.param(cfg, pos, head, id=f"K={k},B={b}"))
+        spread = 3.0 if k > 2 else 0.6
+        pos = rng.uniform_array((b, k, 2), -spread, spread)
+        ang = rng.uniform_array((b, k), 0.0, 2.0 * np.pi)
+        head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        if b > 1 and k > 1:
+            pos[1, 1] = pos[1, 0]          # coincident agents
+            pos[2, :, 0] = cfg.box_half    # every agent on a wall
+            head[2, :] = [1.0, 0.0]        # heading out of the box
+            pos[3] = pos[3, :1]            # the whole flock on one spot
+        cases.append(pytest.param(cfg, pos, head, id=f"K={k},B={b}"))
     return cases
 
 
@@ -362,32 +363,34 @@ def _plane_cases():
 
     Row 0 holds two coincident agents; rows 1-4 put agent 1 exactly r_r,
     r_o, treated r_o and r_a from agent 0, each under the r_o that makes
-    the distance a zone boundary; every other row draws its own r_o.
+    the distance a zone boundary; every other row draws its own r_o.  The
+    128-row cases, a full simulation chunk, draw from their own stream.
     """
-    rng = Rng(2026)
-    cases = []
-    for k in (1, 2, 4, 20):
+    def case(rng, k, lead):
         cfg = SimConfig(n_agents=k)
         r_o, r_t = cfg.orientation_radius, cfg.orientation_radius_treated
         edges = [(cfg.repulsion_radius, r_o), (r_o, r_o), (r_t, r_t),
                  (cfg.attraction_radius, r_t)]
-        for lead in ((), (7,), (6, 32)):
-            pos = rng.uniform_array(lead + (k, 2), -4.0, 4.0)
-            ang = rng.uniform_array(lead + (k,), 0.0, 2.0 * np.pi)
-            head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            radii = rng.uniform_array(lead, cfg.repulsion_radius,
-                                      cfg.attraction_radius)
-            rows, row_r_o = pos.reshape(-1, k, 2), radii.reshape(-1)
-            if k > 1:
-                rows[0, 1] = rows[0, 0]
-                for i, (dist, radius) in enumerate(edges[:len(rows) - 1], 1):
-                    rows[i, :2] = [[0.0, 0.0], [dist, 0.0]]
-                    row_r_o[i] = radius
-            if lead == ():
-                radii = float(radii)
-            cases.append(pytest.param(cfg, pos, head, radii,
-                                      id=f"K={k},lead={lead}"))
-    return cases
+        pos = rng.uniform_array(lead + (k, 2), -4.0, 4.0)
+        ang = rng.uniform_array(lead + (k,), 0.0, 2.0 * np.pi)
+        head = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        radii = rng.uniform_array(lead, cfg.repulsion_radius,
+                                  cfg.attraction_radius)
+        rows, row_r_o = pos.reshape(-1, k, 2), radii.reshape(-1)
+        if k > 1:
+            rows[0, 1] = rows[0, 0]
+            for i, (dist, radius) in enumerate(edges[:len(rows) - 1], 1):
+                rows[i, :2] = [[0.0, 0.0], [dist, 0.0]]
+                row_r_o[i] = radius
+        if lead == ():
+            radii = float(radii)
+        return pytest.param(cfg, pos, head, radii, id=f"K={k},lead={lead}")
+
+    rng = Rng(2026)
+    cases = [case(rng, k, lead) for k in (1, 2, 4, 20)
+             for lead in ((), (7,), (6, 32))]
+    rng = Rng(2027)
+    return cases + [case(rng, k, (128,)) for k in (2, 20)]
 
 
 @pytest.mark.parametrize("cfg, pos, head, r_o", _plane_cases())
@@ -480,6 +483,24 @@ def test_simulate_batch_rejects_bad_starts_and_forks():
         simulate_batch(cfg, [1, 2], [None, 10], forks=[11])
     rows = simulate_batch(cfg, [1, 2], [None, 10], forks=[9, 10])
     assert rows.x_local.shape == (2, 3, cfg.n_steps, 3, 5)
+
+
+@pytest.mark.parametrize("seeds, starts", [
+    pytest.param([], [], id="empty"),
+    pytest.param([], [None], id="no-seed-one-start"),
+    pytest.param([1, 2], [None], id="two-seeds-one-start"),
+    pytest.param([1], [None, 10], id="one-seed-two-starts")])
+def test_simulate_batch_rejects_empty_or_mismatched_batches(
+        monkeypatch, seeds, starts):
+    cfg = SimConfig(n_agents=3)
+
+    def no_step(*args):
+        raise AssertionError("simulated before checking its arguments")
+
+    monkeypatch.setattr(boids, "step", no_step)
+    for forks in ((), (9,)):
+        with pytest.raises(ContractError, match="one start per seed"):
+            simulate_batch(cfg, seeds, starts, forks)
 
 
 def test_prefix_shared_before_intervention():

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from cfswarm.boids import SimConfig, simulate
-from cfswarm.data import (CHUNK, NEVER_TREATED, _quantize, generate_dataset,
-                          ground_truth_ite, load_dataset, save_dataset,
-                          sim_config_from_echo)
+from cfswarm import data as data_module
+from cfswarm.data import (NEVER_TREATED, generate_dataset, ground_truth_ite,
+                          load_dataset, save_dataset, sim_config_from_echo)
 from cfswarm.errors import ConfigError, ContractError
-from cfswarm.rng import derive_seed
+from cfswarm.rng import Rng, derive_seed
+
+
+def _quantize(arr):
+    """Round trip through float32, as the dataset stores every float."""
+    return arr.astype("<f4").astype(np.float64)
 
 
 def small_cfg():
@@ -76,10 +81,11 @@ def test_factual_test_matches_its_arm(ds):
         assert ds.test.outcome[i].tobytes() == ds.cf.outcome[i, arm].tobytes()
 
 
-def test_dataset_equals_per_episode_simulate():
-    # 37 training episodes: one full chunk plus a remainder
+def test_dataset_equals_per_episode_simulate(monkeypatch):
+    # 37 training episodes: two full chunks plus a remainder
+    monkeypatch.setattr(data_module, "CHUNK", 16)
     cfg = small_cfg()
-    assert 37 % CHUNK != 0
+    assert 37 % data_module.CHUNK != 0
     data = generate_dataset(cfg, n_train=37, n_val=3, n_test=5, seed=11)
     fields = ("x_local", "x_global", "treatment", "outcome")
 
@@ -110,6 +116,46 @@ def test_dataset_equals_per_episode_simulate():
                 got = getattr(data.cf, name)
                 assert got[i, a, :arm].tobytes() == \
                     got[i, never, :arm].tobytes(), name
+
+
+def _dataset_bytes(data):
+    return [getattr(getattr(data, part), name).tobytes()
+            for part in ("train", "val", "test", "cf")
+            for name in ("x_local", "x_global", "treatment", "outcome")] + \
+        [getattr(data, part).intervention.tobytes()
+         for part in ("train", "val", "test")]
+
+
+def test_dataset_does_not_depend_on_chunk_size(monkeypatch):
+    cfg = small_cfg()
+    runs = []
+    for chunk in (1, 5, 128):
+        monkeypatch.setattr(data_module, "CHUNK", chunk)
+        runs.append(_dataset_bytes(generate_dataset(cfg, 11, 3, 6, seed=5)))
+    assert runs[0] == runs[1] == runs[2]
+
+
+def per_episode_assign(cfg, seed, name, n, untreated_fraction):
+    """The assignment drawn one episode at a time: two uniforms each."""
+    steps = cfg.intervention_steps
+    assign = Rng(derive_seed(seed, f"assign/{name}"))
+    out = np.empty(n, dtype=np.int32)
+    for i in range(n):
+        u = assign.uniforms(2)
+        out[i] = NEVER_TREATED if u[0] < untreated_fraction else \
+            steps[min(int(u[1] * len(steps)), len(steps) - 1)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
+@pytest.mark.parametrize("fraction", [0.0, 1.0 / 3.0, 0.5, 0.999])
+def test_vectorized_assignment_equals_per_episode_draws(n, fraction):
+    for cfg in (small_cfg(), SimConfig()):
+        for seed, name in ((0, "train"), (1009, "test")):
+            got = data_module._assign(cfg, seed, name, n, fraction)
+            want = per_episode_assign(cfg, seed, name, n, fraction)
+            assert got.dtype == want.dtype and got.shape == (n,)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_ground_truth_ite_recompute(ds):
