@@ -13,17 +13,20 @@ accept any leading batch shape, so one `step` call advances a batch of rows
 (episodes or counterfactual arms) that share nothing but the arithmetic:
 each row comes out bitwise as if stepped alone.
 
-Pair terms are laid out (..., j, k) on separate x and y planes, neighbour j
+State is carried as four (..., K) coordinate planes (position x and y,
+heading x and y) and pair terms as (..., j, k) x and y planes, neighbour j
 before agent k, so numpy's inner loops run over K agents instead of a
-length-2 coordinate axis.
+length-2 coordinate axis.  `step` and `mean_angular_momentum` split a
+(..., K, 2) `BoidState` into planes; `simulate_batch` keeps planes
+throughout its loop.
 """
 
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
-from .rng import Rng, derive_seed, uniform_rows
+from .errors import ConfigError, ContractError, DimensionError, NumericError
+from .rng import derive_seeds, uniform_rows
 
 _TINY = 1e-12
 
@@ -92,41 +95,29 @@ class BoidState:
         return self
 
 
-def _pairwise(positions: np.ndarray):
+def _pairwise(px: np.ndarray, py: np.ndarray):
     """Coordinate planes dx[..., j, k] = x_j - x_k and dy[..., j, k] =
     y_j - y_k, and the distances |r_j - r_k| (inf on the diagonal)."""
-    x, y = positions[..., 0], positions[..., 1]
-    dx = x[..., :, None] - x[..., None, :]
-    dy = y[..., :, None] - y[..., None, :]
+    dx = px[..., :, None] - px[..., None, :]
+    dy = py[..., :, None] - py[..., None, :]
     dist = dx * dx
     dist += dy * dy
     np.sqrt(dist, out=dist)
-    idx = np.arange(positions.shape[-2])
+    idx = np.arange(px.shape[-1])
     dist[..., idx, idx] = np.inf
     return dx, dy, dist
 
 
-def zone_neighbors(state: BoidState, k: int, r_o: float, cfg: SimConfig):
-    """Counts (n_r, n_o, n_a) of neighbors of agent k in each zone."""
-    d = _pairwise(state.positions)[2][:, k]
-    n_r = int(np.sum(d < cfg.repulsion_radius))
-    n_o = int(np.sum((d > cfg.repulsion_radius) & (d <= r_o)))
-    n_a = int(np.sum((d > r_o) & (d <= cfg.attraction_radius)))
-    return n_r, n_o, n_a
-
-
-def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Normalize rows; rows with ~zero norm fall back to the given direction."""
-    vx, vy = v[..., 0], v[..., 1]
+def _unit(vx, vy, fx, fy):
+    """(vx, vy) scaled to unit length; where its norm is ~zero, (fx, fy)."""
     norms = np.sqrt(vx * vx + vy * vy)
     ok = norms > _TINY
-    out = np.where(ok[..., None], v / np.where(ok, norms, 1.0)[..., None],
-                   fallback)
-    return out
+    norms = np.where(ok, norms, 1.0)
+    return np.where(ok, vx / norms, fx), np.where(ok, vy / norms, fy)
 
 
-def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
-    """Zone rule for every agent at once. Rows are unit vectors.
+def _desired_directions(px, py, hx, hy, r_o, cfg: SimConfig):
+    """Zone rule for every agent at once: the (x, y) planes of unit vectors.
 
     `r_o` is a scalar or one orientation radius per batch row.  Pair terms
     are (..., j, k) planes of x and y, which equal (..., k, j, 2) stacks
@@ -137,7 +128,7 @@ def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
     still adds j = 0, 1, ... in turn.  `optimize` is never passed: it may
     route a contraction through BLAS, which adds in another order.
     """
-    ux, uy, dist = _pairwise(positions)
+    ux, uy, dist = _pairwise(px, py)
     # in place: the differences become unit vectors (0/0 between
     # coincident agents is zeroed)
     with np.errstate(invalid="ignore"):
@@ -151,61 +142,100 @@ def _desired_directions(positions, headings, r_o, cfg: SimConfig) -> np.ndarray:
     orient = ((dist > cfg.repulsion_radius) & (dist <= r_o)).astype(np.float64)
     attract = ((dist > r_o) & (dist <= cfg.attraction_radius)).astype(np.float64)
 
-    def nbr_sum(vx, vy, mask, spec="...jk,...jk->...k"):
-        return np.stack([np.einsum(spec, vx, mask), np.einsum(spec, vy, mask)],
-                        axis=-1)
+    def nbr_sum(mask, vx=ux, vy=uy, spec="...jk,...jk->...k"):
+        return np.einsum(spec, vx, mask), np.einsum(spec, vy, mask)
 
     n_r, n_o, n_a = (np.einsum("...jk->...k", m) for m in (rep, orient, attract))
 
-    rep_dir = _unit_rows(-nbr_sum(ux, uy, rep), headings)
+    sx, sy = nbr_sum(rep)
+    rep_x, rep_y = _unit(-sx, -sy, hx, hy)
 
-    o_counts = np.where(n_o > 0, n_o, 1.0)[..., None]
-    o_term = nbr_sum(headings[..., 0], headings[..., 1], orient,
-                     "...j,...jk->...k") / o_counts
-    o_hat = _unit_rows(o_term, headings)
+    o_counts = np.where(n_o > 0, n_o, 1.0)
+    sx, sy = nbr_sum(orient, hx, hy, "...j,...jk->...k")
+    o_x, o_y = _unit(sx / o_counts, sy / o_counts, hx, hy)
 
-    a_counts = np.where(n_a > 0, n_a, 1.0)[..., None]
-    a_hat = _unit_rows(nbr_sum(ux, uy, attract) / a_counts, headings)
+    a_counts = np.where(n_a > 0, n_a, 1.0)
+    sx, sy = nbr_sum(attract)
+    a_x, a_y = _unit(sx / a_counts, sy / a_counts, hx, hy)
 
-    both = (n_o > 0) & (n_a > 0)
-    blend = _unit_rows(0.5 * (o_hat + a_hat), headings)
-    social = np.where(both[..., None], blend,
-                      np.where((n_o > 0)[..., None], o_hat,
-                               np.where((n_a > 0)[..., None], a_hat, headings)))
-    return np.where((n_r > 0)[..., None], rep_dir, social)
+    b_x, b_y = _unit(0.5 * (o_x + a_x), 0.5 * (o_y + a_y), hx, hy)
+    has_r, has_o, has_a = n_r > 0, n_o > 0, n_a > 0
+    both = has_o & has_a
 
+    def pick(rep_v, blend_v, o_v, a_v, h_v):
+        return np.where(has_r, rep_v, np.where(both, blend_v, np.where(
+            has_o, o_v, np.where(has_a, a_v, h_v))))
 
-def desired_direction(state: BoidState, k: int, r_o: float, cfg: SimConfig) -> np.ndarray:
-    """Preferred unit direction for one agent before the turn limit."""
-    return _desired_directions(state.positions, state.headings, r_o, cfg)[k]
+    return pick(rep_x, b_x, o_x, a_x, hx), pick(rep_y, b_y, o_y, a_y, hy)
 
 
-def clamp_turn(d_old: np.ndarray, d_desired: np.ndarray, max_turn_deg: float) -> np.ndarray:
-    """Limit the turn from d_old toward d_desired to max_turn_deg.
+def _signed_turns(ax, ay, bx, by):
+    """Signed angle from heading (ax, ay) to heading (bx, by)."""
+    return np.arctan2(ax * by - ay * bx, ax * bx + ay * by)
 
-    Within the limit the desired direction is returned unchanged; beyond it,
-    d_old is rotated by exactly the limit toward the desired side (ties at
-    180 degrees rotate positively).
+
+def _clamp_turns(hx, hy, dx, dy, beta: float):
+    """Limit the turn from (hx, hy) toward (dx, dy) to beta radians.
+
+    Within the limit the desired direction is returned unchanged; beyond
+    it, the heading is rotated by exactly beta toward the desired side
+    (ties at 180 degrees rotate positively).
     """
-    beta = float(np.deg2rad(max_turn_deg))
-    cross = d_old[0] * d_desired[1] - d_old[1] * d_desired[0]
-    dot = d_old[0] * d_desired[0] + d_old[1] * d_desired[1]
-    theta = np.arctan2(cross, dot)
-    if abs(theta) <= beta:
-        return d_desired.copy()
-    ang = beta if theta > 0 else -beta
-    c, s = np.cos(ang), np.sin(ang)
-    return np.array([c * d_old[0] - s * d_old[1], s * d_old[0] + c * d_old[1]])
-
-
-def _clamp_turns(headings: np.ndarray, desired: np.ndarray, beta: float) -> np.ndarray:
-    theta = _signed_turns(headings, desired)
+    theta = _signed_turns(hx, hy, dx, dy)
     within = np.abs(theta) <= beta
     ang = np.where(theta > 0, beta, -beta)
     c, s = np.cos(ang), np.sin(ang)
-    rotated = np.stack([c * headings[..., 0] - s * headings[..., 1],
-                        s * headings[..., 0] + c * headings[..., 1]], axis=-1)
-    return np.where(within[..., None], desired, rotated)
+    return (np.where(within, dx, c * hx - s * hy),
+            np.where(within, dy, s * hx + c * hy))
+
+
+def _step(px, py, hx, hy, r_o, cfg: SimConfig):
+    """One time step on (..., K) planes of positions and headings.
+
+    Processing order per agent: zone rule, boundary override, turn limit,
+    renormalize, integrate, and finally a hard clip into the box (the
+    lookahead override steers agents away from walls but cannot bound the
+    position by itself at grazing incidence).
+    """
+    dx, dy = _desired_directions(px, py, hx, hy, r_o, cfg)
+
+    # an agent whose straight continuation leaves the box within two steps
+    # heads for the center instead
+    reach = 2.0 * cfg.speed * cfg.dt
+    exiting = (np.abs(px + reach * hx) > cfg.box_half) \
+        | (np.abs(py + reach * hy) > cfg.box_half)
+    cx, cy = _unit(-px, -py, dx, dy)
+    dx, dy = np.where(exiting, cx, dx), np.where(exiting, cy, dy)
+
+    nx, ny = _clamp_turns(hx, hy, dx, dy, cfg.max_turn_rad)
+    norms = np.sqrt(nx * nx + ny * ny)
+    nx /= norms
+    ny /= norms
+    move = cfg.speed * cfg.dt
+    return (np.clip(px + move * nx, -cfg.box_half, cfg.box_half),
+            np.clip(py + move * ny, -cfg.box_half, cfg.box_half), nx, ny)
+
+
+def _momentum(px, py, hx, hy):
+    """|sum_k rhat_k x d_k| / K about the group centroid, per row of planes.
+
+    The centroid is the mean over the agent axis of the (..., K, 2) stack:
+    numpy adds a contiguous (..., K) plane in another order.
+    """
+    centroid = np.stack([px, py], axis=-1).mean(axis=-2)
+    rx = px - centroid[..., 0, None]
+    ry = py - centroid[..., 1, None]
+    norms = np.sqrt(rx * rx + ry * ry)
+    ok = norms > 0.0
+    norms = np.where(ok, norms, 1.0)
+    cross = (np.where(ok, rx / norms, 0.0) * hy
+             - np.where(ok, ry / norms, 0.0) * hx)
+    return np.abs(cross.sum(axis=-1)) / px.shape[-1]
+
+
+def _planes(state: BoidState):
+    return (state.positions[..., 0], state.positions[..., 1],
+            state.headings[..., 0], state.headings[..., 1])
 
 
 def mean_angular_momentum(state: BoidState):
@@ -214,70 +244,29 @@ def mean_angular_momentum(state: BoidState):
     Agents sitting exactly on the centroid contribute zero.  A (K, 2) state
     gives a float, a batch of states one value per row.
     """
-    centroid = state.positions.mean(axis=-2)
-    rel = state.positions - centroid[..., None, :]
-    norms = np.sqrt(np.sum(rel * rel, axis=-1))
-    ok = norms > 0.0
-    rhat = np.where(ok[..., None], rel / np.where(ok, norms, 1.0)[..., None], 0.0)
-    cross = rhat[..., 0] * state.headings[..., 1] - rhat[..., 1] * state.headings[..., 0]
-    out = np.abs(cross.sum(axis=-1)) / state.positions.shape[-2]
+    out = _momentum(*_planes(state))
     return float(out) if out.ndim == 0 else out
 
 
 def step(state: BoidState, r_o, cfg: SimConfig) -> BoidState:
-    """Advance every agent one time step of length cfg.dt.
+    """Advance every agent one time step of length cfg.dt (see `_step`).
 
     `state` is one (K, 2) world or a batch (..., K, 2) of independent rows;
     `r_o` is a scalar or one orientation radius per row.
-
-    Processing order per agent: zone rule, boundary override, turn limit,
-    renormalize, integrate, and finally a hard clip into the box (the
-    lookahead override steers agents away from walls but cannot bound the
-    position by itself at grazing incidence).
     """
-    pos, d_old = state.positions, state.headings
-    desired = _desired_directions(pos, d_old, r_o, cfg)
-
-    # an agent whose straight continuation leaves the box within two steps
-    # heads for the center instead
-    lookahead = pos + (2.0 * cfg.speed * cfg.dt) * d_old
-    exiting = np.any(np.abs(lookahead) > cfg.box_half, axis=-1)
-    center_dir = _unit_rows(-pos, desired)
-    desired = np.where(exiting[..., None], center_dir, desired)
-
-    new_d = _clamp_turns(d_old, desired, cfg.max_turn_rad)
-    norms = np.sqrt(np.sum(new_d * new_d, axis=-1))
-    new_d = new_d / norms[..., None]
-    new_pos = np.clip(pos + (cfg.speed * cfg.dt) * new_d,
-                      -cfg.box_half, cfg.box_half)
-    return BoidState(new_pos, new_d)
-
-
-def _state_from_uniforms(cfg: SimConfig, u: np.ndarray) -> BoidState:
-    """Positions uniform in the central half-width square, headings uniform,
-    from rows of 3K uniforms: 2K for the positions, then K angles."""
-    k = cfg.n_agents
-    pos = (u[..., :2 * k].reshape(u.shape[:-1] + (k, 2)) - 0.5) * cfg.box_half
-    angles = u[..., 2 * k:] * (2.0 * np.pi)
-    return BoidState(pos, np.stack([np.cos(angles), np.sin(angles)], axis=-1))
-
-
-def initial_state(cfg: SimConfig, rng: Rng) -> BoidState:
-    """One (K, 2) starting state drawn from `rng`."""
-    return _state_from_uniforms(cfg, rng.uniforms(3 * cfg.n_agents))
+    px, py, hx, hy = _step(*_planes(state), r_o, cfg)
+    return BoidState(np.stack([px, py], axis=-1), np.stack([hx, hy], axis=-1))
 
 
 def initial_states(cfg: SimConfig, seeds) -> BoidState:
-    """Episode i's starting state, initial_state(cfg, Rng(derive_seed(
-    seeds[i], "boid-init"))), for every seed, drawn in one pass."""
-    roots = [derive_seed(s, "boid-init") for s in seeds]
-    return _state_from_uniforms(cfg, uniform_rows(roots, 3 * cfg.n_agents))
-
-
-def _signed_turns(d_prev: np.ndarray, d_new: np.ndarray) -> np.ndarray:
-    cross = d_prev[..., 0] * d_new[..., 1] - d_prev[..., 1] * d_new[..., 0]
-    dot = d_prev[..., 0] * d_new[..., 0] + d_prev[..., 1] * d_new[..., 1]
-    return np.arctan2(cross, dot)
+    """Episode i's starting state, drawn from Rng(derive_seed(seeds[i],
+    "boid-init")): 2K uniforms for positions in the central half-width
+    square, then K for uniform headings.  Every seed is drawn in one pass."""
+    k = cfg.n_agents
+    u = uniform_rows(derive_seeds(seeds, "boid-init"), 3 * k)
+    pos = (u[:, :2 * k].reshape(-1, k, 2) - 0.5) * cfg.box_half
+    angles = u[:, 2 * k:] * (2.0 * np.pi)
+    return BoidState(pos, np.stack([np.cos(angles), np.sin(angles)], axis=-1))
 
 
 @dataclass
@@ -312,17 +301,20 @@ class TrajectorySample:
             raise ContractError("treatment must be nondecreasing over time")
         if cfg is not None and (t != cfg.n_steps or k != cfg.n_agents):
             raise DimensionError("trajectory does not match the configuration")
+        for name in ("x_local", "x_global", "outcome"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise NumericError(f"simulated {name} holds a non-finite value")
         return self
 
 
 def simulate_batch(cfg: SimConfig, seeds, starts, forks=()) -> TrajectorySample:
     """Roll a batch of episodes in one loop, plus arms forked from them.
 
-    Episode i (seed `seeds[i]`) runs from t = 0 under absorbing treatment
-    from `starts[i]` (None: never).  Each start s in `forks` (ascending, and
-    no later than any episode's own start) adds one row per episode that
-    joins the batch at step s as a copy of the episode's row: its state, last
-    turn and recorded prefix.  Treatment is absorbing, so up to step s that
+    Episode i (seed `seeds[i]`, an int or a uint64 word) runs from t = 0
+    under absorbing treatment from `starts[i]` (None: never).  Each start s
+    in `forks` (ascending, and no later than any episode's own start) adds
+    one row per episode that joins the batch at step s as a copy of the
+    episode's row: its state, last turn and recorded prefix.  Treatment is absorbing, so up to step s that
     row is exactly what start s would have produced, and the fork equals the
     episode re-simulated under start s.  The desk world's six arms (starts
     9..13 plus never) cost T + sum(T - s) = 29 row-steps per episode instead
@@ -352,29 +344,29 @@ def simulate_batch(cfg: SimConfig, seeds, starts, forks=()) -> TrajectorySample:
     arm_start = np.stack([own_start] + [np.full(b, s) for s in forks])
     x_local = np.zeros((len(arm_start), b, t_total, k, 5))
     momentum = np.zeros((len(arm_start), b, t_total + 1))
-    init = initial_states(cfg, seeds)
-    state = BoidState(init.positions[None], init.headings[None])
+    # each row's state as (arm, episode, K) planes: x, y, heading x, heading y
+    px, py, hx, hy = (a[None] for a in _planes(initial_states(cfg, seeds)))
     dtheta = np.zeros((1, b, k))
-    momentum[0, :, 0] = mean_angular_momentum(state)[0]
+    momentum[0, :, 0] = _momentum(px, py, hx, hy)[0]
 
     for t in range(t_total):
         live = len(dtheta)
         if live < len(arm_start) and forks[live - 1] == t:
             x_local[live, :, :t] = x_local[0, :, :t]
             momentum[live, :, :t + 1] = momentum[0, :, :t + 1]
-            state = BoidState(np.concatenate([state.positions, state.positions[:1]]),
-                              np.concatenate([state.headings, state.headings[:1]]))
-            dtheta = np.concatenate([dtheta, dtheta[:1]])
+            px, py, hx, hy, dtheta = (np.concatenate([a, a[:1]])
+                                      for a in (px, py, hx, hy, dtheta))
             live += 1
-        x_local[:live, :, t, :, 0:2] = state.positions
-        x_local[:live, :, t, :, 2:4] = cfg.speed * state.headings
-        x_local[:live, :, t, :, 4] = dtheta
+        row = x_local[:live, :, t]
+        row[..., 0], row[..., 1] = px, py
+        row[..., 2], row[..., 3] = cfg.speed * hx, cfg.speed * hy
+        row[..., 4] = dtheta
         r_o = np.where(arm_start[:live] <= t, cfg.orientation_radius_treated,
                        cfg.orientation_radius)
-        nxt = step(state, r_o, cfg)
-        dtheta = _signed_turns(state.headings, nxt.headings)
-        momentum[:live, :, t + 1] = mean_angular_momentum(nxt)
-        state = nxt
+        nxt = _step(px, py, hx, hy, r_o, cfg)
+        dtheta = _signed_turns(hx, hy, *nxt[2:])
+        px, py, hx, hy = nxt
+        momentum[:live, :, t + 1] = _momentum(px, py, hx, hy)
 
     treatment = (np.arange(t_total) >= arm_start[..., None]).astype(np.uint8)
     order = [*range(1, len(arm_start)), 0]

@@ -7,8 +7,10 @@ Episodes are simulated CHUNK = 128 at a time as the rows of one
 larger chunk saves little more per-call overhead and raises the peak memory
 (CHUNK 256: about 4% more peak RSS for `cfswarm gen` on the desk world).
 Each row is bitwise independent of its batch, so CHUNK never changes a
-dataset.  Rows are rounded to float32 and written into preallocated split
-arrays.  The counterfactual set is each test episode's untreated run plus
+dataset.  A chunk's episode seeds are derived as one uint64 array
+(`rng.derive_seeds`), equal word for word to per-episode `derive_seed`.
+Rows are rounded to float32 and written into preallocated split arrays.
+The counterfactual set is each test episode's untreated run plus
 one fork per treatment start, taken from the untreated run at that step:
 29 row-steps per test episode on the desk world instead of 84 for six full
 re-runs.  The factual test split is each episode's assigned arm of that
@@ -25,7 +27,7 @@ import numpy as np
 from . import artifact
 from .boids import SimConfig, simulate_batch
 from .errors import ConfigError, ContractError
-from .rng import Rng, derive_seed
+from .rng import Rng, derive_seed, derive_seeds
 
 NEVER_TREATED = -1
 CHUNK = 128  # episodes per simulation batch
@@ -98,9 +100,9 @@ def _simulate(cfg: SimConfig, seed: int, name: str, starts, forks=()):
            np.empty((n, n_arms, t), dtype=np.uint8), np.empty((n, n_arms, t)))
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
-        rows = simulate_batch(
-            cfg, [derive_seed(seed, f"episode/{name}", i) for i in range(lo, hi)],
-            starts[lo:hi], forks)
+        seeds = derive_seeds(seed, f"episode/{name}",
+                             np.arange(lo, hi, dtype=np.uint64))
+        rows = simulate_batch(cfg, seeds, starts[lo:hi], forks)
         # rounded to float32, so in-memory data equals the file format;
         # the float64 arrays hold the float32 values exactly
         out[0][lo:hi] = rows.x_local.astype("<f4")

@@ -57,6 +57,23 @@ def _splitmix64(base: np.ndarray, idx: np.ndarray) -> np.ndarray:
         return z ^ (z >> np.uint64(31))
 
 
+def _words(values) -> np.ndarray:
+    """Integers as uint64 words, taken mod 2**64 as `derive_seed` takes them."""
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64:
+        return values
+    return np.asarray(np.asarray(values, dtype=object) & _MASK, dtype=np.uint64)
+
+
+def derive_seeds(roots, purpose: str, index=0) -> np.ndarray:
+    """`derive_seed` over uint64 words: roots and indices broadcast, and each
+    word equals derive_seed(root, purpose, index).  Hashes `purpose` once;
+    `_splitmix64(x, 0)` is `_mix64(x)`."""
+    zero = np.uint64(0)
+    with np.errstate(over="ignore"):
+        h = _splitmix64(_words(roots) ^ np.uint64(_fnv1a(purpose)), zero)
+        return _splitmix64(h ^ _words(index) * np.uint64(_GOLDEN), zero)
+
+
 def _unit_doubles(words: np.ndarray) -> np.ndarray:
     """The top 53 bits of each word as a double in [0, 1)."""
     return (words >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
@@ -64,8 +81,8 @@ def _unit_doubles(words: np.ndarray) -> np.ndarray:
 
 def uniform_rows(seeds, n: int) -> np.ndarray:
     """(len(seeds), n) uniforms drawn in one pass; row i is bitwise
-    Rng(seeds[i]).uniforms(n)."""
-    base = np.array([_mix64(s) for s in seeds], dtype=np.uint64)
+    Rng(seeds[i]).uniforms(n).  `seeds` are ints or uint64 words."""
+    base = _splitmix64(_words(seeds), np.uint64(0))
     return _unit_doubles(_splitmix64(base[:, None],
                                      np.arange(n, dtype=np.uint64)))
 

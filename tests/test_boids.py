@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cfswarm import boids
-from cfswarm.boids import (BoidState, SimConfig, _desired_directions,
-                           _pairwise, _unit_rows, clamp_turn,
-                           desired_direction, initial_state, initial_states,
+from cfswarm.boids import (BoidState, SimConfig, _clamp_turns,
+                           _desired_directions, _momentum, _pairwise,
+                           _signed_turns, _step, initial_states,
                            mean_angular_momentum, simulate, simulate_batch,
-                           step, zone_neighbors)
+                           step)
 from cfswarm.errors import ConfigError, ContractError
 from cfswarm.rng import Rng, derive_seed
 
@@ -21,6 +21,45 @@ def make_state(positions, headings):
 def pair_state(distance):
     return make_state([[0.0, 0.0], [distance, 0.0]],
                       [[1.0, 0.0], [1.0, 0.0]])
+
+
+def planes(positions, headings=None):
+    """(..., K, 2) arrays as (..., K) x and y planes."""
+    out = (positions[..., 0], positions[..., 1])
+    return out if headings is None else out + (headings[..., 0],
+                                               headings[..., 1])
+
+
+def zone_neighbors(state: BoidState, k: int, r_o: float, cfg: SimConfig):
+    """Counts (n_r, n_o, n_a) of neighbors of agent k in each zone."""
+    d = _pairwise(*planes(state.positions))[2][:, k]
+    n_r = int(np.sum(d < cfg.repulsion_radius))
+    n_o = int(np.sum((d > cfg.repulsion_radius) & (d <= r_o)))
+    n_a = int(np.sum((d > r_o) & (d <= cfg.attraction_radius)))
+    return n_r, n_o, n_a
+
+
+def desired_direction(state: BoidState, k: int, r_o: float, cfg: SimConfig):
+    """Agent k's preferred unit direction before the turn limit."""
+    dx, dy = _desired_directions(*planes(state.positions, state.headings),
+                                 r_o, cfg)
+    return np.array([dx[k], dy[k]])
+
+
+def clamp_turn(d_old, d_desired, max_turn_deg):
+    """The plane turn clamp on one heading and one desired direction."""
+    return np.array(_clamp_turns(*d_old, *d_desired,
+                                 float(np.deg2rad(max_turn_deg))))
+
+
+def initial_state(cfg: SimConfig, rng: Rng) -> BoidState:
+    """One (K, 2) starting state drawn from `rng`: 2K uniforms for the
+    positions, then K heading angles."""
+    k = cfg.n_agents
+    u = rng.uniforms(3 * k)
+    angles = u[2 * k:] * (2.0 * np.pi)
+    return BoidState((u[:2 * k].reshape(k, 2) - 0.5) * cfg.box_half,
+                     np.stack([np.cos(angles), np.sin(angles)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +362,67 @@ def test_batched_step_equals_per_row_step(cfg, pos, head):
         assert np.array_equal(momenta[i], got)
 
 
+# ---------------------------------------------------------------------------
+# the step on (..., K, 2) stacks, the form the simulator used before it
+# carried (..., K) coordinate planes; the planes must reproduce it bit for bit
+
+
+def _unit_rows(v: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Normalize rows; rows with ~zero norm fall back to the given direction."""
+    vx, vy = v[..., 0], v[..., 1]
+    norms = np.sqrt(vx * vx + vy * vy)
+    ok = norms > 1e-12
+    return np.where(ok[..., None], v / np.where(ok, norms, 1.0)[..., None],
+                    fallback)
+
+
+def stack_signed_turns(d_prev, d_new):
+    cross = d_prev[..., 0] * d_new[..., 1] - d_prev[..., 1] * d_new[..., 0]
+    dot = d_prev[..., 0] * d_new[..., 0] + d_prev[..., 1] * d_new[..., 1]
+    return np.arctan2(cross, dot)
+
+
+def stack_clamp_turns(headings, desired, beta):
+    theta = stack_signed_turns(headings, desired)
+    within = np.abs(theta) <= beta
+    ang = np.where(theta > 0, beta, -beta)
+    c, s = np.cos(ang), np.sin(ang)
+    rotated = np.stack([c * headings[..., 0] - s * headings[..., 1],
+                        s * headings[..., 0] + c * headings[..., 1]], axis=-1)
+    return np.where(within[..., None], desired, rotated)
+
+
+def stack_step(pos, d_old, r_o, cfg: SimConfig):
+    """Zone rule, wall override, turn clamp, renormalize, integrate."""
+    desired = stack_desired_directions(pos, d_old, r_o, cfg)[0]
+    lookahead = pos + (2.0 * cfg.speed * cfg.dt) * d_old
+    exiting = np.any(np.abs(lookahead) > cfg.box_half, axis=-1)
+    center_dir = _unit_rows(-pos, desired)
+    desired = np.where(exiting[..., None], center_dir, desired)
+    new_d = stack_clamp_turns(d_old, desired, cfg.max_turn_rad)
+    norms = np.sqrt(np.sum(new_d * new_d, axis=-1))
+    new_d = new_d / norms[..., None]
+    new_pos = np.clip(pos + (cfg.speed * cfg.dt) * new_d,
+                      -cfg.box_half, cfg.box_half)
+    return new_pos, new_d
+
+
+def stack_momentum(positions, headings):
+    centroid = positions.mean(axis=-2)
+    rel = positions - centroid[..., None, :]
+    norms = np.sqrt(np.sum(rel * rel, axis=-1))
+    ok = norms > 0.0
+    rhat = np.where(ok[..., None], rel / np.where(ok, norms, 1.0)[..., None],
+                    0.0)
+    cross = rhat[..., 0] * headings[..., 1] - rhat[..., 1] * headings[..., 0]
+    return np.abs(cross.sum(axis=-1)) / positions.shape[-2]
+
+
 def stack_desired_directions(positions, headings, r_o, cfg: SimConfig):
     """The zone rule on (..., k, j, 2) stacks of r_j - r_k.
 
-    This is the layout the simulator used before it moved to (..., j, k)
-    coordinate planes; the planes must reproduce it bit for bit.
+    This is the pair layout the simulator used before it moved to
+    (..., j, k) coordinate planes; the planes must reproduce it bit for bit.
     """
     diff = positions[..., None, :, :] - positions[..., :, None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
@@ -396,8 +491,35 @@ def _plane_cases():
 @pytest.mark.parametrize("cfg, pos, head, r_o", _plane_cases())
 def test_plane_zone_rule_equals_stack_form(cfg, pos, head, r_o):
     want, want_dist = stack_desired_directions(pos, head, r_o, cfg)
-    assert np.array_equal(_desired_directions(pos, head, r_o, cfg), want)
-    assert np.array_equal(_pairwise(pos)[2], np.swapaxes(want_dist, -1, -2))
+    got = _desired_directions(*planes(pos, head), r_o, cfg)
+    assert np.array_equal(np.stack(got, axis=-1), want)
+    assert np.array_equal(_pairwise(*planes(pos))[2],
+                          np.swapaxes(want_dist, -1, -2))
+
+
+def _step_cases():
+    """Every plane case, and every batch case with r_o alternating between
+    the untreated and treated radius."""
+    cases = []
+    for case in _batch_cases():
+        cfg, pos, head = case.values
+        r_o = np.where(np.arange(pos.shape[0]) % 2 == 1,
+                       cfg.orientation_radius_treated, cfg.orientation_radius)
+        cases.append(pytest.param(cfg, pos, head, r_o, id="batch," + case.id))
+    return cases + [pytest.param(*case.values, id="plane," + case.id)
+                    for case in _plane_cases()]
+
+
+@pytest.mark.parametrize("cfg, pos, head, r_o", _step_cases())
+def test_plane_step_equals_stack_form(cfg, pos, head, r_o):
+    want_pos, want_head = stack_step(pos, head, r_o, cfg)
+    px, py, hx, hy = _step(*planes(pos, head), r_o, cfg)
+    assert np.array_equal(np.stack([px, py], axis=-1), want_pos)
+    assert np.array_equal(np.stack([hx, hy], axis=-1), want_head)
+    assert np.array_equal(_signed_turns(*planes(head, want_head)),
+                          stack_signed_turns(head, want_head))
+    for p, h in ((pos, head), (want_pos, want_head)):
+        assert np.array_equal(_momentum(*planes(p, h)), stack_momentum(p, h))
 
 
 def test_soak_invariants():
@@ -497,7 +619,7 @@ def test_simulate_batch_rejects_empty_or_mismatched_batches(
     def no_step(*args):
         raise AssertionError("simulated before checking its arguments")
 
-    monkeypatch.setattr(boids, "step", no_step)
+    monkeypatch.setattr(boids, "_step", no_step)
     for forks in ((), (9,)):
         with pytest.raises(ContractError, match="one start per seed"):
             simulate_batch(cfg, seeds, starts, forks)

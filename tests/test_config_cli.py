@@ -15,7 +15,7 @@ import pytest
 
 import cfswarm
 import cfswarm.tensor as T
-from cfswarm import artifact
+from cfswarm import artifact, boids
 from cfswarm.cli import main
 from cfswarm.config import load_config, require_sim_match
 from cfswarm.boids import SimConfig
@@ -366,6 +366,22 @@ def test_gradcheck_command(pipeline, tmp_path, capsys):
     result = json.loads((out / "gradcheck.json").read_text())
     assert result["passed"] is True
     assert result["tolerances"]["ops"] == 1e-4
+
+
+def test_gen_refuses_a_non_finite_simulation(tmp_path, monkeypatch, capsys):
+    step = boids._step
+
+    def one_nan(*args):
+        px, py, hx, hy = step(*args)
+        px[(0,) * px.ndim] = np.nan
+        return px, py, hx, hy
+
+    monkeypatch.setattr(boids, "_step", one_nan)
+    config = write_config(tmp_path, TOY_INI.format(root=tmp_path))
+    out = tmp_path / "nan"
+    assert main(["gen", "--config", config, "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "dataset.npz").exists()
 
 
 def test_exit_codes_for_contract_errors(pipeline, tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cfswarm.errors import ContractError
-from cfswarm.rng import Rng, derive_seed
+from cfswarm.rng import Rng, derive_seed, derive_seeds, uniform_rows
 
 
 def test_same_seed_same_bits():
@@ -39,6 +39,35 @@ def test_derive_seed_is_stable_and_separates_purposes():
     assert derive_seed(5, "init", 0) != derive_seed(5, "init", 1)
     assert derive_seed(5, "init", 0) != derive_seed(5, "shuffle", 0)
     assert derive_seed(5, "init", 0) != derive_seed(6, "init", 0)
+
+
+def test_vector_derivation_equals_scalar_derive_seed():
+    draw = Rng(31).integers(2, 2**62)
+    roots = [0, 1, 2**63, 2**64 - 1, int(draw[0]) * 3, -1]
+    indices = [0, 1, 2**63, int(draw[1]) * 2]
+    want = np.array([[derive_seed(r, "episode/train", i) for i in indices]
+                     for r in roots], dtype=np.uint64)
+    # python-int roots and indices, each root alone, and uint64 words
+    for row, root in enumerate(roots):
+        got = derive_seeds(root, "episode/train", indices)
+        assert got.dtype == np.uint64 and np.array_equal(got, want[row])
+        assert int(derive_seeds(root, "episode/train", indices[-1])) \
+            == want[row, -1]
+    words = np.array([r % 2**64 for r in roots], dtype=np.uint64)
+    index_words = np.array(indices, dtype=np.uint64)
+    assert np.array_equal(
+        derive_seeds(words[:, None], "episode/train", index_words), want)
+    assert np.array_equal(derive_seeds(words, "boid-init"),
+                          [derive_seed(r, "boid-init") for r in roots])
+
+
+def test_uniform_rows_equal_per_seed_streams():
+    roots = [0, 1, 2**63, 2**64 - 1, 123456789, -1]
+    for seeds in (roots, np.array([r % 2**64 for r in roots],
+                                  dtype=np.uint64)):
+        rows = uniform_rows(seeds, 7)
+        for row, root in zip(rows, roots):
+            assert np.array_equal(row, Rng(root).uniforms(7))
 
 
 def test_fork_matches_derive_seed():
