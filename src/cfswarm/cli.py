@@ -190,7 +190,7 @@ def cmd_cf_rollout(cfg: RunConfig, args) -> int:
         "y_pred": pred["y_all"], "a_pred": pred["a_all"],
         "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
         "tau_hat": pred["tau_hat"], "best_timing": pred["best_timing"]},
-        {"format": "cf-rollout-v2", "arms": pred["arms"]})
+        {"format": "cf-rollout-v3", "arms": pred["arms"]})
     write_run_manifest(out, "cf-rollout", cfg, started)
     print(f"counterfactual rollouts for {pred['y_all'].shape[0]} episodes x "
           f"{pred['y_all'].shape[1]} arms -> {out}")

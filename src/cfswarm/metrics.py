@@ -4,7 +4,8 @@ All prediction-quality metrics run over every treatment arm of the test
 set's counterfactual rollouts.  Outcome steps are evaluated on the window
 the outcome array exposes from the end of burn-in onward (indices T_b-2 ..
 T-1, the momentum values at world steps T_b .. T+1); covariates over the
-free-run steps T_b .. T-1.  Effect metrics compare final-step effect
+free-run steps T_b .. T-1, the only steps whose covariates the model
+predicts in an inference rollout.  Effect metrics compare final-step effect
 estimates per arm; the rooted PEHE and the absolute ATE error are computed
 per arm and averaged over arms.  Standard errors come from per-episode
 statistics (for the arm-averaged quantities, the SE of the per-episode
@@ -12,7 +13,9 @@ aggregate).
 
 An evaluation dump is one ``dump.npz`` (see ``artifact``) with the
 predicted and true arrays and the arm list, next to ``report.json`` and
-``per_episode.csv``.
+``per_episode.csv``.  Its covariate predictions cover the window only:
+x_loc_pred (n, A, T-T_b, K, 5) and x_g_pred (n, A, T-T_b, 1), entry j the
+prediction of world step T_b + j.
 """
 
 import csv
@@ -87,16 +90,21 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
                     cfg: SimConfig, variant: str = ""):
     """Assemble the report from prediction arrays.
 
-    y_pred (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, T, K, 5) and
-    x_g_pred (n, A, T, 1) hold at index t the prediction for step t+1;
-    best_pred (n,) holds predicted best intervention steps.  Returns
-    (MetricsReport, per-episode dict).
+    y_pred (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, W, K, 5) and
+    x_g_pred (n, A, W, 1) hold the predictions of the W world steps of
+    covariate_window(cfg), in order, as predict_ite returns them with
+    trace=True; best_pred (n,) holds predicted best intervention steps.
+    Returns (MetricsReport, per-episode dict).
     """
     n, n_arms, n_steps = cf.outcome.shape
     if y_pred.shape != (n, n_arms, n_steps):
         raise DimensionError("y_pred must match the counterfactual outcomes")
     ow = outcome_window(cfg)
     cw = covariate_window(cfg)
+    if x_loc_pred.shape[:3] != (n, n_arms, cw.size) \
+            or x_g_pred.shape[:3] != (n, n_arms, cw.size):
+        raise DimensionError("covariate predictions must cover the "
+                             "covariate window")
 
     # outcome error over evaluated steps and every arm
     abs_err = np.abs(y_pred[:, :, ow] - cf.outcome[:, :, ow])
@@ -106,8 +114,12 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
     # variable so widths are comparable across covariate dimensionalities
     k = cf.x_local.shape[3]
     n_var = k * 5 + 1
-    d_loc = (x_loc_pred[:, :, cw - 1] - cf.x_local[:, :, cw])
-    d_g = (x_g_pred[:, :, cw - 1] - cf.x_global[:, :, cw])
+    # entry j predicts world step T_b + j.  Indexing (not the whole array)
+    # puts the step axis outermost in memory, as in the indexed truth; that
+    # layout sets the order in which the mean below adds the errors up
+    j = cw - cfg.burn_in
+    d_loc = x_loc_pred[:, :, j] - cf.x_local[:, :, cw]
+    d_g = x_g_pred[:, :, j] - cf.x_global[:, :, cw]
     sq = (d_loc ** 2).sum(axis=(3, 4)) + (d_g ** 2).sum(axis=3)
     ep_cov = np.sqrt(sq / n_var).mean(axis=(1, 2))
 
@@ -170,7 +182,7 @@ def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
 
 
 DUMP_FILE = "dump.npz"
-EVAL_DUMP_FORMAT = "eval-dump-v2"
+EVAL_DUMP_FORMAT = "eval-dump-v3"
 _DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
                 "tau_true", "best_pred", "best_true", "y_true", "x_loc_true",
                 "x_g_true")

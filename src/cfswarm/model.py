@@ -76,13 +76,17 @@ class ModelDims:
 class RolloutOutput:
     """Per-step predictions plus the ELBO pieces of one batched rollout.
 
-    All per-step lists have length T.  x_loc_hat[t] / x_g_hat[t] predict step
-    t+1 in raw covariate units; y_hat[t] predicts the outcome at t+1.
-    kl_sum and recon_sum are sums over batch, agents and dims, accumulated
-    over elbo_steps burn-in steps (divide by batch_size * elbo_steps for the
-    per-episode-step loss).  mu_dec traces hold the reconstruction mean in
-    target space (turn angle for theory variants, scaled covariates
-    otherwise).
+    y_hat, a_prob and a_logits have length T; y_hat[t] predicts the outcome
+    at t+1.  x_loc_hat and x_g_hat hold the covariate predictions of the
+    steps that decode them (`CrnModel.decodes`), in raw covariate units:
+    t = 0..T-2 in train mode (entry t predicts step t+1), t = burn-1..T-2
+    in infer mode (entry j predicts step burn+j).  kl_sum and recon_sum are
+    sums over batch, agents and dims, accumulated over elbo_steps burn-in
+    steps (divide by batch_size * elbo_steps for the per-episode-step loss).
+    The mu_dec and sigma_dec traces follow x_loc_hat's steps and hold the
+    reconstruction mean and scale in target space (turn angle for theory
+    variants, scaled covariates otherwise); the other traces have one entry
+    per step.
     """
 
     y_hat: list
@@ -99,7 +103,7 @@ class RolloutOutput:
     traces: dict = field(default_factory=dict)
 
     def stacked(self, name: str) -> np.ndarray:
-        """Detach one per-step list into (B, T, ...) float64."""
+        """Detach one per-step list into (B, len, ...) float64."""
         seq = getattr(self, name)
         return np.stack([t.array for t in seq], axis=1)
 
@@ -129,7 +133,8 @@ class RolloutState:
 @dataclass
 class StepOutput:
     """One step's predictions, as in RolloutOutput's per-step lists, plus
-    its ELBO terms (None where the step adds none) and latent traces."""
+    its ELBO terms (None where the step adds none) and latent traces.
+    x_loc_hat and x_g_hat are None on a step that decodes no covariates."""
 
     y_hat: object
     a_prob: object
@@ -152,8 +157,10 @@ class StepLatent:
     state is the state entering t with the burn-in context (observed global
     signal, positions and headings) filled in; z (and gv_crn's z_g) the
     step's latents; theta_prop the proposed turn angles (B, K, 1) of theory
-    variants.  out holds every StepOutput field the treatment cannot reach:
-    all but y_hat, and for theory variants x_loc_hat and x_g_hat.
+    variants, None on a step that decodes no covariates (then `advance`
+    runs no theory step).  out holds every StepOutput field the treatment
+    cannot reach: all but y_hat, and for theory variants x_loc_hat and
+    x_g_hat.
     """
 
     state: RolloutState
@@ -470,6 +477,14 @@ class CrnModel:
 
     # rollout ----------------------------------------------------------------
 
+    def decodes(self, t: int, mode: str) -> bool:
+        """Whether step t decodes covariates: only a prediction of step t+1
+        that something reads.  Train mode's losses read every step with a
+        target (t+1 < T).  An infer-mode rollout replaces steps 1..burn-1
+        with the observed covariates, so it reads steps burn..T-1."""
+        return t + 1 < self.cfg.n_steps and (
+            mode == "train" or t + 1 >= self.cfg.burn_in)
+
     def init_state(self, b: int) -> RolloutState:
         """Zero recurrent state entering step 0 for a batch of b episodes."""
         d = self.dims
@@ -514,6 +529,7 @@ class CrnModel:
         teacher-forces posterior latents over the burn-in and accumulates
         KL + reconstruction terms; mode "infer" uses the prior throughout.
         sample_latents defaults to True for train and False for infer.
+        The covariate predictions cover the steps that `decodes`.
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"unknown rollout mode {mode!r}")
@@ -538,8 +554,9 @@ class CrnModel:
             out.y_hat.append(so.y_hat)
             out.a_prob.append(so.a_prob)
             out.a_logits.append(so.a_logits)
-            out.x_loc_hat.append(so.x_loc_hat)
-            out.x_g_hat.append(so.x_g_hat)
+            if so.x_loc_hat is not None:
+                out.x_loc_hat.append(so.x_loc_hat)
+                out.x_g_hat.append(so.x_g_hat)
             if so.kl is not None:
                 out.kl_sum = T.add(out.kl_sum, so.kl)
             if so.recon is not None:
@@ -573,7 +590,7 @@ class CrnModel:
         """
         if self.variant is ModelVariant.RNN_BASELINE:
             return self._baseline_step(leaves, state, t, x_local, x_global,
-                                       treatment)
+                                       treatment, mode)
         if latent is None:
             latent = self.latent(leaves, state, t, x_local, x_global, mode,
                                  rng, sample_latents, trace)
@@ -584,7 +601,8 @@ class CrnModel:
                sample_latents: bool = False,
                trace: bool = False) -> StepLatent | None:
         """Step t's treatment-free half: prior (or posterior) -> z ->
-        decoder -> proposal, the treatment head, and the ELBO terms.
+        decoder -> proposal, the treatment head, and the ELBO terms.  The
+        decoder runs only where `decodes(t, mode)`.
 
         Arguments are those of `step`.  Returns None for rnn_baseline, which
         has no such half.
@@ -592,7 +610,7 @@ class CrnModel:
         if self.variant is ModelVariant.RNN_BASELINE:
             return None
         cfg = self.cfg
-        n_steps, burn, row = cfg.n_steps, cfg.burn_in, self._row
+        burn, row = cfg.burn_in, self._row
         gv = self.variant is ModelVariant.GV_CRN
         h, h_g = state.h, state.h_g
         if t < burn:
@@ -602,7 +620,11 @@ class CrnModel:
             state = RolloutState(h, h_g, None, T._lift(x_global[:, t]), pos,
                                  head)
         train_burn = mode == "train" and t < burn
+        decode = self.decodes(t, mode)
+        if train_burn and not decode:
+            raise ContractError("burn-in reconstruction needs x[t+1]")
         kl = recon = g_kl = g_recon = z_g = x_g_hat = None
+        theta_prop = x_loc_hat = None
 
         mu_p, sig_p = self.prior_step(leaves, h)
         use_post = train_burn and self.enc_net is not None
@@ -618,23 +640,19 @@ class CrnModel:
         else:
             z = mu_z
 
-        mu_d, sig_d = self.decode_step(leaves, z, h)
-        theta_prop = x_loc_hat = None
-        if self.variant.uses_theory:
-            theta_prop = T.mul(T.tanh(mu_d), np.pi)
-            recon_mu, recon_sig = theta_prop, sig_d
-            recon_target = (x_local[:, t + 1, :, 4:5]
-                            if t + 1 < n_steps else None)
-        else:
-            x_loc_hat = T.mul(mu_d, 1.0 / row)
-            recon_mu, recon_sig = mu_d, sig_d
-            recon_target = (x_local[:, t + 1] * row
-                            if t + 1 < n_steps else None)
-
-        if train_burn and self.variant is not ModelVariant.TG_CRN:
-            if recon_target is None:
-                raise ContractError("burn-in reconstruction needs x[t+1]")
-            recon = T.gaussian_nll(recon_mu, recon_sig, recon_target)
+        if decode:
+            mu_d, sig_d = self.decode_step(leaves, z, h)
+            if self.variant.uses_theory:
+                theta_prop = T.mul(T.tanh(mu_d), np.pi)
+                recon_mu, recon_sig = theta_prop, sig_d
+            else:
+                x_loc_hat = T.mul(mu_d, 1.0 / row)
+                recon_mu, recon_sig = mu_d, sig_d
+            if train_burn and self.variant is not ModelVariant.TG_CRN:
+                recon_target = (x_local[:, t + 1, :, 4:5]
+                                if self.variant.uses_theory
+                                else x_local[:, t + 1] * row)
+                recon = T.gaussian_nll(recon_mu, recon_sig, recon_target)
 
         if gv:
             g_mu_p, g_sig_p = self.g_pri_head(leaves, self.g_pri(leaves, h_g))
@@ -648,18 +666,21 @@ class CrnModel:
                 g_mu_z, g_sig_z = g_mu_p, g_sig_p
             z_g = (T.gaussian_sample(g_mu_z, g_sig_z, rng)
                    if sample_latents else g_mu_z)
-            g_mu_d, g_sig_d = self.g_dec_head(
-                leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)))
-            x_g_hat = g_mu_d
-            if train_burn:
-                g_recon = T.gaussian_nll(g_mu_d, g_sig_d, x_global[:, t + 1])
+            if decode:
+                g_mu_d, g_sig_d = self.g_dec_head(
+                    leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)))
+                x_g_hat = g_mu_d
+                if train_burn:
+                    g_recon = T.gaussian_nll(g_mu_d, g_sig_d,
+                                             x_global[:, t + 1])
 
         a_prob, a_logit = treatment_head(
             self.mlp_a, leaves, _pool(z, cfg.n_agents))
         traces = {}
         if trace:
-            pairs = {"mu_pri": mu_p, "sigma_pri": sig_p,
-                     "mu_dec": recon_mu, "sigma_dec": recon_sig}
+            pairs = {"mu_pri": mu_p, "sigma_pri": sig_p}
+            if decode:
+                pairs["mu_dec"], pairs["sigma_dec"] = recon_mu, recon_sig
             if use_post:
                 pairs["mu_enc"], pairs["sigma_enc"] = mu_q, sig_q
             traces = {key: val.array.copy() for key, val in pairs.items()}
@@ -670,14 +691,15 @@ class CrnModel:
     def advance(self, leaves, latent: StepLatent, t: int, x_local,
                 x_global, treatment):
         """Step t's treatment half: the theory integrator under the
-        treatment's orientation radius, the outcome head and the
-        recurrence.  Returns (next state, StepOutput) as `step` does."""
+        treatment's orientation radius (on a step that decodes), the outcome
+        head and the recurrence.  Returns (next state, StepOutput) as `step`
+        does."""
         cfg = self.cfg
         n_steps, burn, row = cfg.n_steps, cfg.burn_in, self._row
         state, z = latent.state, latent.z
         pos, head = state.pos, state.head
         x_loc_hat, x_g_hat = latent.out.x_loc_hat, latent.out.x_g_hat
-        if self.variant.uses_theory:
+        if latent.theta_prop is not None:
             x_loc_hat, x_g_hat, pos, head = theory_step(
                 latent.theta_prop, pos, head, treatment[:, t], cfg)
         y = self.outcome_step(leaves, z, state.ctx_g, treatment[:, t:t + 1])
@@ -698,7 +720,8 @@ class CrnModel:
             h_g = self.g_rnn(leaves, T.concat([nxt_g, latent.z_g], 1), h_g)
         return RolloutState(h, h_g, None, nxt_g, pos, head), so
 
-    def _baseline_step(self, leaves, state, t, x_local, x_global, treatment):
+    def _baseline_step(self, leaves, state, t, x_local, x_global, treatment,
+                       mode):
         k = self.cfg.n_agents
         row = self._row
         b = x_local.shape[0]
@@ -709,10 +732,12 @@ class CrnModel:
         a_col = treatment[:, t:t + 1]
         inp = T.concat([ctx_flat, ctx_g, T._lift(a_col)], 1)
         h = self.rnn(leaves, inp, state.h)
-        pred = self.mlp_x(leaves, h)
-        x_loc_sc = T.reshape(T.slice_axis(pred, 1, 0, k * 5), (b, k, 5))
-        x_g_hat = T.slice_axis(pred, 1, k * 5, k * 5 + 1)
-        x_loc_hat = T.mul(x_loc_sc, 1.0 / row)
+        x_loc_sc = x_loc_hat = x_g_hat = None
+        if self.decodes(t, mode):
+            pred = self.mlp_x(leaves, h)
+            x_loc_sc = T.reshape(T.slice_axis(pred, 1, 0, k * 5), (b, k, 5))
+            x_g_hat = T.slice_axis(pred, 1, k * 5, k * 5 + 1)
+            x_loc_hat = T.mul(x_loc_sc, 1.0 / row)
         y = self.mlp_y(leaves, T.concat([h, T._lift(a_col)], 1))
         a_logit = self.mlp_a(leaves, h)
         so = StepOutput(y, T.sigmoid(a_logit), a_logit, x_loc_hat, x_g_hat)
@@ -761,8 +786,14 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     numbers on everything the treatment cannot touch); each treated arm
     draws from its own key from step s + 1 on.
 
+    Only the free-run steps decode covariates (`CrnModel.decodes`): the
+    burn-in prefix takes the observed covariates and step T-1 would predict
+    a step past the episode.
+
     Returns a dict with y_final (n, A), tau_hat (n, A-1), best_timing (n,),
-    y_all (n, A, T), a_all, and predicted-state traces when trace=True.
+    y_all (n, A, T) and a_all (n, A, T).  With trace=True it also holds the
+    covariate predictions of world steps burn..T-1: x_loc_hat
+    (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
     """
     cfg = model.cfg
     x_local, x_global = model._checked_inputs(x_local, x_global)
@@ -778,8 +809,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
     y_all = np.zeros((n, n_arms, n_steps))
     a_all = np.zeros((n, n_arms, n_steps))
-    x_loc_all = np.zeros((n, n_arms, n_steps, cfg.n_agents, 5)) if trace else None
-    x_g_all = np.zeros((n, n_arms, n_steps, 1)) if trace else None
+    n_dec = sum(model.decodes(t, "infer") for t in range(n_steps))
+    x_loc_all = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5)) if trace else None
+    x_g_all = np.zeros((n, n_arms, n_dec, 1)) if trace else None
 
     def rng_for(key):
         return (Rng(derive_seed(seed, "ite-mc", key)) if mc_samples > 0
@@ -804,7 +836,8 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
         def add(ai, outs):
             def stacked(name):
-                return np.stack([getattr(so, name).array for so in outs],
+                return np.stack([getattr(so, name).array for so in outs
+                                 if getattr(so, name) is not None],
                                 axis=1) / n_pass
             y_all[rows, ai] += stacked("y_hat")[:, :, 0]
             a_all[rows, ai] += stacked("a_prob")[:, :, 0]

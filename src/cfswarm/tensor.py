@@ -286,10 +286,10 @@ def _bw_atan2(g, saved):
 
 
 def _bw_matmul(g, saved):
-    a, b = saved
+    a, b, (need_a, need_b) = saved
     g_rows = g.reshape(-1, g.shape[-1])
-    return ((g_rows @ b.T).reshape(a.shape),
-            a.reshape(-1, a.shape[-1]).T @ g_rows)
+    return ((g_rows @ b.T).reshape(a.shape) if need_a else None,
+            a.reshape(-1, a.shape[-1]).T @ g_rows if need_b else None)
 
 
 def _bw_sum(g, saved):
@@ -506,7 +506,7 @@ def matmul(a, b):
         raise DimensionError(
             f"matmul inner dimensions differ: {a.array.shape} @ {b.array.shape}")
     out = a.array.reshape(-1, b.array.shape[0]) @ b.array
-    return _emit("matmul", (a, b), (a.array, b.array),
+    return _emit("matmul", (a, b), (a.array, b.array, _has_node(a, b)),
                  out.reshape(a.array.shape[:-1] + b.array.shape[1:]))
 
 

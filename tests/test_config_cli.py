@@ -260,10 +260,12 @@ def test_cf_rollout_dump(pipeline, tmp_path):
     assert code == 0
     assert (out / "dump.npz").exists()
     arrays, meta = artifact.load(out / "dump.npz", ())
-    assert meta["format"] == "cf-rollout-v2"
+    assert meta["format"] == "cf-rollout-v3"
     assert meta["arms"] == [5, 6, 7, None]
-    # n_test=2, arms 3+1, T=8
+    # n_test=2, arms 3+1, T=8; covariates of world steps burn_in=5..7
     assert arrays["y_pred"].shape == (2, 4, 8)
+    assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
+    assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
     for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
                  "best_timing"):
         assert name in arrays
@@ -325,6 +327,19 @@ def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
     corrupt(tmp_path / name, how, drop)
     with pytest.raises(ContractError):
         loader(tmp_path)
+
+
+def test_eval_dump_v2_is_contract_error(eval_dir, tmp_path):
+    arrays, meta = artifact.load(eval_dir / "dump.npz", ())
+    assert meta["format"] == "eval-dump-v3"
+    # covariates of world steps burn_in=5..7 only
+    assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
+    assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
+    read_eval_dump(eval_dir)
+    meta["format"] = "eval-dump-v2"
+    artifact.save(tmp_path / "dump.npz", arrays, meta)
+    with pytest.raises(ContractError, match="eval-dump-v2"):
+        read_eval_dump(tmp_path)
 
 
 def test_eval_rejects_corrupt_checkpoint(pipeline, tmp_path, capsys):

@@ -59,8 +59,8 @@ def hand_rollout():
         y_hat=lift_list([[[1.0]], [[1.0]]]),
         a_prob=lift_list([[[0.5]], [[0.5]]]),
         a_logits=lift_list([[[x_star]], [[x_star]]]),
-        x_loc_hat=lift_list([np.zeros((1, 1, 5)), np.zeros((1, 1, 5))]),
-        x_g_hat=lift_list([[[0.0]], [[0.0]]]),
+        x_loc_hat=lift_list([np.zeros((1, 1, 5))]),
+        x_g_hat=lift_list([[[0.0]]]),
         kl_sum=T._lift(3.0),
         recon_sum=T._lift(5.0),
         batch_size=1,
@@ -135,8 +135,8 @@ def test_losses_recompute_from_rollout_arrays():
 
     xh = roll.stacked("x_loc_hat")
     gh = roll.stacked("x_g_hat")
-    sq = ((xh[:, :-1] - x_local[:, 1:]) ** 2).sum() \
-        + ((gh[:, :-1] - x_global[:, 1:]) ** 2).sum()
+    sq = ((xh - x_local[:, 1:]) ** 2).sum() \
+        + ((gh - x_global[:, 1:]) ** 2).sum()
     n_x = 3 * (cfg.n_steps - 1) * (cfg.n_agents * 5 + 1)
     assert abs(floats["l_x"] - sq / n_x) < 1e-10 * max(1.0, sq / n_x)
 

@@ -49,20 +49,20 @@ def test_windows():
     assert covariate_window(cfg).tolist() == [5, 6, 7]
 
 
-def perfect_predictions(cf):
-    """Predictions equal to the simulated truth, with x-hat shifted one step."""
+def perfect_predictions(cf, cfg):
+    """Predictions equal to the simulated truth, covariates over the
+    covariate window."""
+    cw = covariate_window(cfg)
     y_pred = cf.outcome.astype(np.float64)
-    x_loc = cf.x_local.astype(np.float64)
-    x_g = cf.x_global.astype(np.float64)
-    x_loc_pred = np.concatenate([x_loc[:, :, 1:], x_loc[:, :, -1:]], axis=2)
-    x_g_pred = np.concatenate([x_g[:, :, 1:], x_g[:, :, -1:]], axis=2)
+    x_loc_pred = cf.x_local[:, :, cw].astype(np.float64)
+    x_g_pred = cf.x_global[:, :, cw].astype(np.float64)
     _, best_true = ground_truth_ite(cf)
     return y_pred, x_loc_pred, x_g_pred, best_true
 
 
 def test_ground_truth_self_check_scores_zero(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf)
+    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
     report, per_episode = compute_metrics(
         cf, ds.test.outcome.astype(np.float64), y_pred, x_loc_pred,
         x_g_pred, best_true, ds.cfg, variant="oracle")
@@ -84,7 +84,7 @@ def test_ground_truth_self_check_scores_zero(ds):
 
 def test_timing_error_counts_offsets(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf)
+    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
     report, _ = compute_metrics(
         cf, ds.test.outcome.astype(np.float64), y_pred, x_loc_pred,
         x_g_pred, best_true + 2, ds.cfg)
@@ -97,23 +97,23 @@ def test_compute_metrics_matches_manual_recompute(ds):
     rng = np.random.default_rng(3)
     n, n_arms, n_steps = cf.outcome.shape
     k = cf.x_local.shape[3]
+    cw = covariate_window(cfg)
     y_pred = rng.uniform(size=(n, n_arms, n_steps))
-    x_loc_pred = rng.normal(size=cf.x_local.shape)
-    x_g_pred = rng.uniform(size=cf.x_global.shape)
+    x_loc_pred = rng.normal(size=cf.x_local[:, :, cw].shape)
+    x_g_pred = rng.uniform(size=cf.x_global[:, :, cw].shape)
     best_pred = rng.choice(cfg.intervention_steps, size=n)
     report, per = compute_metrics(cf, ds.test.outcome.astype(np.float64),
                                   y_pred, x_loc_pred, x_g_pred, best_pred,
                                   cfg)
     ow = outcome_window(cfg)
-    cw = covariate_window(cfg)
     out_err = np.abs(y_pred[:, :, ow] - cf.outcome[:, :, ow]).mean(axis=(1, 2))
     assert np.allclose(per["l_outcome"], out_err, atol=1e-15)
     assert abs(report.l_outcome - out_err.mean()) < 1e-15
     se = out_err.std(ddof=1) / np.sqrt(n)
     assert abs(report.l_outcome_se - se) < 1e-15
 
-    sq = ((x_loc_pred[:, :, cw - 1] - cf.x_local[:, :, cw]) ** 2).sum((3, 4)) \
-        + ((x_g_pred[:, :, cw - 1] - cf.x_global[:, :, cw]) ** 2).sum(3)
+    sq = ((x_loc_pred - cf.x_local[:, :, cw]) ** 2).sum((3, 4)) \
+        + ((x_g_pred - cf.x_global[:, :, cw]) ** 2).sum(3)
     cov_err = np.sqrt(sq / (k * 5 + 1)).mean(axis=(1, 2))
     assert np.allclose(per["l_covariates"], cov_err, atol=1e-14)
 
@@ -129,11 +129,23 @@ def test_compute_metrics_matches_manual_recompute(ds):
 
 def test_compute_metrics_rejects_bad_y_shape(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf)
+    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
     with pytest.raises(DimensionError):
         compute_metrics(cf, ds.test.outcome.astype(np.float64),
                         y_pred[:, :, :-1], x_loc_pred, x_g_pred, best_true,
                         ds.cfg)
+
+
+def test_compute_metrics_rejects_covariates_off_the_window(ds):
+    # the eval-dump-v2 layout: one covariate prediction per step, not the
+    # window's
+    cf = ds.cf
+    y_pred, _, _, best_true = perfect_predictions(cf, ds.cfg)
+    x_loc = cf.x_local.astype(np.float64)
+    x_g = cf.x_global.astype(np.float64)
+    with pytest.raises(DimensionError):
+        compute_metrics(cf, ds.test.outcome.astype(np.float64), y_pred,
+                        x_loc, x_g, best_true, ds.cfg)
 
 
 def test_evaluate_requires_counterfactuals(ds):
@@ -184,9 +196,9 @@ def test_dump_supports_offline_recompute(ds, tmp_path):
                      - dump["y_true"][:, :, ow]).mean(axis=(1, 2))
     assert abs(out_err.mean() - report.l_outcome) < 1e-12
     k = cfg.n_agents
-    sq = ((dump["x_loc_pred"][:, :, cw - 1]
+    sq = ((dump["x_loc_pred"]
            - dump["x_loc_true"][:, :, cw]) ** 2).sum((3, 4)) \
-        + ((dump["x_g_pred"][:, :, cw - 1]
+        + ((dump["x_g_pred"]
             - dump["x_g_true"][:, :, cw]) ** 2).sum(3)
     cov_err = np.sqrt(sq / (k * 5 + 1)).mean(axis=(1, 2))
     assert abs(cov_err.mean() - report.l_covariates) < 1e-12

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import cfswarm.model as model_module
 import cfswarm.tensor as T
 from cfswarm.blocks import GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
@@ -318,8 +319,9 @@ def test_rollout_output_shapes():
     assert out.stacked("y_hat").shape == (b, t, 1)
     assert out.stacked("a_prob").shape == (b, t, 1)
     assert out.stacked("a_logits").shape == (b, t, 1)
-    assert out.stacked("x_loc_hat").shape == (b, t, k, 5)
-    assert out.stacked("x_g_hat").shape == (b, t, 1)
+    # train mode decodes every step with a target, t = 0..T-2
+    assert out.stacked("x_loc_hat").shape == (b, t - 1, k, 5)
+    assert out.stacked("x_g_hat").shape == (b, t - 1, 1)
     assert out.batch_size == b
     y = out.stacked("y_hat")
     assert np.all(y > 0.0) and np.all(y < 1.0)
@@ -410,6 +412,7 @@ def test_trace_recon_recomputes_offline():
     out = model.rollout(leaves, x_local, x_global, treatment, "train",
                         rng=Rng(2), trace=True)
     assert len(out.traces["mu_pri"]) == cfg.n_steps
+    assert len(out.traces["mu_dec"]) == cfg.n_steps - 1
     assert len(out.traces["mu_enc"]) == cfg.burn_in
     nll = 0.0
     for t in range(cfg.burn_in):
@@ -476,8 +479,9 @@ def test_baseline_rollout_shapes_and_determinism():
                                                   intervention=5)
     out = model.rollout(leaves, x_local, x_global, treatment, "train")
     assert out.stacked("y_hat").shape == (2, cfg.n_steps, 1)
-    assert out.stacked("x_loc_hat").shape == (2, cfg.n_steps, cfg.n_agents, 5)
-    assert out.stacked("x_g_hat").shape == (2, cfg.n_steps, 1)
+    assert out.stacked("x_loc_hat").shape == (2, cfg.n_steps - 1,
+                                              cfg.n_agents, 5)
+    assert out.stacked("x_g_hat").shape == (2, cfg.n_steps - 1, 1)
     assert float(out.kl_sum.array) == 0.0
     assert out.elbo_steps == 0
     leaves = store.bind(T.Tape(record=False))
@@ -543,9 +547,11 @@ def test_predict_ite_arm_layout():
     assert "x_loc_hat" not in out
     traced = predict_ite(model, store, x_local, x_global, chunk=2,
                          trace=True)
-    assert traced["x_loc_hat"].shape == (3, n_arms, cfg.n_steps,
+    # covariate predictions of world steps burn..T-1 only
+    n_free = cfg.n_steps - cfg.burn_in
+    assert traced["x_loc_hat"].shape == (3, n_arms, n_free,
                                          cfg.n_agents, 5)
-    assert traced["x_g_hat"].shape == (3, n_arms, cfg.n_steps, 1)
+    assert traced["x_g_hat"].shape == (3, n_arms, n_free, 1)
 
 
 def test_predict_ite_chunking_invariant():
@@ -622,12 +628,13 @@ def fork_cfg():
 def per_arm_reference(model, store, x_local, x_global, arms, chunk):
     """One full infer-mode rollout per arm, chunked as predict_ite chunks."""
     n, n_steps = x_local.shape[0], x_local.shape[1]
+    n_free = n_steps - model.cfg.burn_in
     all_arms = list(arms) + [None]
     ref = {"y_all": np.zeros((n, len(all_arms), n_steps)),
            "a_all": np.zeros((n, len(all_arms), n_steps)),
-           "x_loc_hat": np.zeros((n, len(all_arms), n_steps,
+           "x_loc_hat": np.zeros((n, len(all_arms), n_free,
                                   model.cfg.n_agents, 5)),
-           "x_g_hat": np.zeros((n, len(all_arms), n_steps, 1))}
+           "x_g_hat": np.zeros((n, len(all_arms), n_free, 1))}
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         for ai, arm in enumerate(all_arms):
@@ -684,11 +691,14 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
         assert np.array_equal(got["a_all"][:, -1], acc["a_prob"][:, :, 0])
         assert np.array_equal(got["x_loc_hat"][:, -1], acc["x_loc_hat"])
         assert np.array_equal(got["x_g_hat"][:, -1], acc["x_g_hat"])
-        # each treated arm is the trunk until its start, then its own draws
+        # each treated arm is the trunk until its start, then its own draws;
+        # covariate entry j is step burn-1+j's prediction
         for ai, s in enumerate(arms):
             for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
-                assert np.array_equal(got[key][:, ai, :s],
-                                      got[key][:, -1, :s]), (s, key)
+                cut = s if key in ("y_all", "a_all") else max(
+                    0, s + 1 - cfg.burn_in)
+                assert np.array_equal(got[key][:, ai, :cut],
+                                      got[key][:, -1, :cut]), (s, key)
             assert not np.array_equal(got["a_all"][:, ai, s:],
                                       got["a_all"][:, -1, s:])
             # step s's latent half reads no treatment: it is the trunk's draw
@@ -712,8 +722,9 @@ def head_on_world():
                                      ModelVariant.GV_CRN])
 def test_predict_ite_shares_each_start_steps_latent_half(variant,
                                                          monkeypatch):
-    # prior and decoder GNN per latent half: the trunk's T steps plus each
-    # arm's steps after its start, T + sum(T - s) - A halves per chunk
+    # a prior GNN per latent half: the trunk's T steps plus each arm's steps
+    # after its start, T + sum(T - s) - A halves per chunk; a decoder GNN
+    # per half that decodes, t in burn-1..T-2
     calls = []
     forward = GnnBlock.__call__
 
@@ -732,9 +743,13 @@ def test_predict_ite_shares_each_start_steps_latent_half(variant,
             predict_ite(model, store, x_local, x_global, arms=arms,
                         chunk=chunk)
             halves = n_steps + sum(n_steps - s for s in arms) - len(arms)
+            decoded = n_steps - cfg.burn_in + sum(
+                max(0, n_steps - 1 - max(s + 1, cfg.burn_in - 1))
+                for s in arms)
             n_chunks = -(-3 // chunk)
-            assert len(calls) == 2 * halves * n_chunks, (arms, chunk)
-            assert calls.count("prior") == calls.count("dec")
+            assert len(calls) == (halves + decoded) * n_chunks, (arms, chunk)
+            assert calls.count("prior") == halves * n_chunks
+            assert calls.count("dec") == decoded * n_chunks
 
 
 def test_predict_ite_degenerate_worlds_stay_finite():
@@ -812,3 +827,130 @@ def test_training_micro_batch_degenerate_worlds_stay_finite():
                                      for g in grads.values()), variant
     finally:
         T.set_strict_finite(False)
+
+
+# covariates are decoded only where something reads them --------------------
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_skipped_decodes_change_no_output(variant, monkeypatch):
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=40)
+    x_local, x_global, treatment = batch_from_sim(cfg, 3, seed=40,
+                                                  intervention=10)
+    outcome = np.stack([simulate(cfg, 40 + i, 10).outcome
+                        for i in range(3)]).astype(np.float64)
+
+    def run():
+        preds = [predict_ite(model, store, x_local, x_global, chunk=2,
+                             mc_samples=mc, seed=3, trace=True)
+                 for mc in (0, 2)]
+        losses = []
+        for rng in (Rng(derive_seed(4, "decode")), None):
+            tape = T.Tape()
+            leaves = store.bind(tape)
+            roll = model.rollout(leaves, x_local, x_global, treatment,
+                                 "train", rng=rng,
+                                 sample_latents=rng is not None)
+            total, parts = loss_total(roll, x_local, x_global, outcome,
+                                      treatment, LossWeights())
+            T.backward(total)
+            losses.append((parts, store.gradients()))
+        return preds, losses
+
+    preds, losses = run()
+    # the reference decodes every step, burn-in prefix and last step too
+    monkeypatch.setattr(CrnModel, "decodes", lambda self, t, mode: True)
+    ref_preds, ref_losses = run()
+    window = slice(cfg.burn_in - 1, cfg.n_steps - 1)
+    for got, ref in zip(preds, ref_preds):
+        for key in ("y_all", "a_all", "tau_hat", "best_timing"):
+            assert np.array_equal(got[key], ref[key]), key
+        for key in ("x_loc_hat", "x_g_hat"):
+            assert ref[key].shape[2] == cfg.n_steps
+            assert np.array_equal(got[key], ref[key][:, :, window]), key
+    for (parts, grads), (ref_parts, ref_grads) in zip(losses, ref_losses):
+        assert parts == ref_parts
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_desk_chunk_decodes_only_read_steps(monkeypatch):
+    # one 32-episode desk chunk: 24 prior GNN calls (latent halves) plus 11
+    # decoder calls, and 15 theory steps (trunk steps 8..12, forks at
+    # 9..12, and the arms' tail steps up to 12)
+    gnn_calls, turns = [], []
+    forward, turn = GnnBlock.__call__, model_module.theory_turn
+
+    def counted(block, *args, **kwargs):
+        gnn_calls.append(block.name)
+        return forward(block, *args, **kwargs)
+
+    def counted_turn(*args, **kwargs):
+        turns.append(None)
+        return turn(*args, **kwargs)
+
+    monkeypatch.setattr(GnnBlock, "__call__", counted)
+    monkeypatch.setattr(model_module, "theory_turn", counted_turn)
+    cfg = SimConfig().validate()
+    model = CrnModel(ModelVariant.TGV_CRN, cfg, SMALL)
+    store = model.init_store(41)
+    x_local, x_global, treatment = batch_from_sim(cfg, 32, seed=41)
+    predict_ite(model, store, x_local, x_global, chunk=32)
+    assert len(gnn_calls) == 35
+    assert gnn_calls.count("prior") == 24 and gnn_calls.count("dec") == 11
+    assert len(turns) == 15
+
+    # a training micro-batch: no decoder and no theory node at t = T-1
+    gnn_calls.clear()
+    turns.clear()
+    tape = T.Tape()
+    model.rollout(store.bind(tape), x_local, x_global, treatment, "train",
+                  rng=Rng(42))
+    kinds = [node.kind for node in tape.nodes]
+    assert gnn_calls.count("dec") == cfg.n_steps - 1
+    assert gnn_calls.count("prior") == cfg.n_steps
+    assert len(turns) == kinds.count("theory_turn") == cfg.n_steps - 1
+    assert kinds.count("group_spin") == cfg.n_steps - 1
+
+
+def full_matmul_rule(g, saved):
+    """The matmul backward rule computing both operands' gradients."""
+    a, b = saved[0], saved[1]
+    g_rows = g.reshape(-1, g.shape[-1])
+    return ((g_rows @ b.T).reshape(a.shape),
+            a.reshape(-1, a.shape[-1]).T @ g_rows)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.TGV_CRN,
+                                     ModelVariant.RNN_BASELINE])
+def test_matmul_skipping_constants_keeps_gradients_bitwise(variant,
+                                                           monkeypatch):
+    # the lifted burn-in inputs and the zero state at t = 0 reach matmul as
+    # constant operands; skipping their gradients moves no leaf gradient
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=43)
+    x_local, x_global, treatment = batch_from_sim(cfg, 3, seed=43,
+                                                  intervention=10)
+    outcome = np.stack([simulate(cfg, 43 + i, 10).outcome
+                        for i in range(3)]).astype(np.float64)
+
+    def gradients():
+        tape = T.Tape()
+        roll = model.rollout(store.bind(tape), x_local, x_global, treatment,
+                             "train", rng=Rng(44))
+        total, _ = loss_total(roll, x_local, x_global, outcome, treatment,
+                              LossWeights())
+        constant = sum(node.kind == "matmul" and -1 in node.inputs
+                       for node in tape.nodes)
+        T.backward(total)
+        return store.gradients(), constant
+
+    got, constant = gradients()
+    assert constant > 0
+    monkeypatch.setitem(T.BACKWARD, "matmul", full_matmul_rule)
+    ref, _ = gradients()
+    assert got.keys() == ref.keys()
+    for name in got:
+        assert np.array_equal(got[name], ref[name]), name

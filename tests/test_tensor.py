@@ -272,6 +272,26 @@ def test_constant_operand_gets_no_gradient_and_the_other_is_unchanged(op):
         assert np.array_equal(got[live], want)
 
 
+@pytest.mark.parametrize("live", [0, 1])
+def test_matmul_constant_operand_gets_no_gradient(live):
+    g = np.random.default_rng(4)
+    a, b = g.normal(size=(2, 3, 4)), g.normal(size=(4, 5))
+    up = g.normal(size=(2, 3, 5))
+    rule = T.BACKWARD["matmul"]
+
+    def contributions(x, y):
+        out = T.matmul(x, y)
+        return rule(up, out.tape.nodes[out.node_id].saved)
+
+    both = T.Tape()
+    want = contributions(both.watch(a), both.watch(b))
+    one = T.Tape()
+    got = contributions(*((one.watch(a), b) if live == 0
+                          else (a, one.watch(b))))
+    assert got[1 - live] is None
+    assert np.array_equal(got[live], want[live])
+
+
 @pytest.mark.parametrize("mul_first", [True, False])
 def test_repeated_operands_accumulate_into_fresh_arrays(mul_first):
     # add(x, x) hands one upstream array to both of its operands, and so
