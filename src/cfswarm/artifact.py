@@ -26,11 +26,14 @@ def save(path, arrays: dict, meta: dict) -> None:
              **{META_KEY: np.array(json.dumps(meta, sort_keys=True))})
 
 
-def load(path, names) -> tuple[dict, dict]:
+def load(path, names, fmt: str | None = None,
+         meta_keys=()) -> tuple[dict, dict]:
     """Read every array and the metadata; each of ``names`` must be present.
 
-    Any failure (missing file or key, truncation, checksum mismatch, junk)
-    is a ContractError naming the file.
+    With ``fmt``, the metadata's "format" must equal it (checked first, so
+    a file of another format is named as such); each of ``meta_keys`` must
+    be in the metadata.  Any failure (missing file, key or metadata key,
+    truncation, checksum mismatch, junk) is a ContractError naming the file.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -42,7 +45,15 @@ def load(path, names) -> tuple[dict, dict]:
             RuntimeError, zipfile.BadZipFile) as exc:
         raise ContractError(
             f"artifact {str(path)!r} is truncated or corrupt: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ContractError(f"artifact {str(path)!r} has no metadata map")
+    if fmt is not None and meta.get("format") != fmt:
+        raise ContractError(f"artifact {str(path)!r} has format "
+                            f"{meta.get('format')!r}, expected {fmt!r}")
     missing = [name for name in names if name not in arrays]
     if missing:
         raise ContractError(f"artifact {str(path)!r} lacks {missing}")
+    missing = [key for key in meta_keys if key not in meta]
+    if missing:
+        raise ContractError(f"artifact {str(path)!r} lacks metadata {missing}")
     return arrays, meta

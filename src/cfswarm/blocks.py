@@ -176,7 +176,13 @@ class FlatBlock:
 
 
 class GaussianHead:
-    """Linear mu head and a softplus-floored sigma head."""
+    """Linear mu head and a softplus-floored sigma head.
+
+    `forward(leaves, x, with_sigma=True)` returns (mu, sigma).  The sigma
+    half (matmul, add, softplus, floor) costs as much as mu; a caller that
+    reads only mu passes with_sigma=False and gets (mu, None), and mu is
+    bitwise the same either way.
+    """
 
     def __init__(self, name: str, n_in: int, n_out: int):
         self.name = name
@@ -189,11 +195,12 @@ class GaussianHead:
         store.add_uniform(f"{self.name}.wsig", (self.n_in, self.n_out), self.n_in, rng)
         store.add_uniform(f"{self.name}.bsig", (self.n_out,), 0, rng)
 
-    def forward(self, leaves, x):
+    def forward(self, leaves, x, with_sigma: bool = True):
         mu = T.add(T.matmul(x, leaves[f"{self.name}.wmu"]), leaves[f"{self.name}.bmu"])
+        if not with_sigma:
+            return mu, None
         raw = T.add(T.matmul(x, leaves[f"{self.name}.wsig"]), leaves[f"{self.name}.bsig"])
-        sigma = T.add(T.softplus(raw), SIGMA_FLOOR)
-        return mu, sigma
+        return mu, T.add(T.softplus(raw), SIGMA_FLOOR)
 
     __call__ = forward
 

@@ -149,7 +149,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
     if last is not None:
         print(f"final train l_y {last['train_l_y']:.6f}, "
               f"val l_y {last['val_l_y']:.6f}")
-    print(f"checkpoints and loss_log.csv -> {out}")
+    print(f"checkpoints, loss_log.csv and steps.csv -> {out}")
     return 0
 
 

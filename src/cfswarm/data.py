@@ -2,9 +2,11 @@
 on-disk format (one ``dataset.npz`` holding float32 covariates and outcomes,
 uint8 treatments and int32 intervention steps; see ``artifact``).
 
-Episodes are simulated CHUNK = 128 at a time as the rows of one
-`simulate_batch` loop, so the 256/32/32 desk dataset takes four calls; a
-larger chunk saves little more per-call overhead and raises the peak memory
+Episodes are simulated in chunks, each the rows of one `simulate_batch`
+loop: at most CHUNK = 128 episodes and at most 2 CHUNK rows, counting an
+episode's forks, so the 256/32/32 desk dataset takes four calls and a
+chunk of counterfactual test episodes (six rows each) holds 42.  A larger
+chunk saves little more per-call overhead and raises the peak memory
 (CHUNK 256: about 4% more peak RSS for `cfswarm gen` on the desk world).
 Each row is bitwise independent of its batch, so CHUNK never changes a
 dataset.  A chunk's episode seeds are derived as one uint64 array
@@ -92,14 +94,16 @@ def _simulate(cfg: SimConfig, seed: int, name: str, starts, forks=()):
     """(x_local, x_global, treatment, outcome) of episodes `name`/0..n-1.
 
     Arrays are (n, arms, T, ...): `forks` in order, then each episode's own
-    start.  Each CHUNK of episodes is one `simulate_batch` call, rounded to
-    float32 straight into arrays allocated once.
+    start.  Each chunk (CHUNK episodes, fewer where their arms would pass
+    2 CHUNK rows) is one `simulate_batch` call, rounded to float32 straight
+    into arrays allocated once.
     """
     n, n_arms, t = len(starts), len(forks) + 1, cfg.n_steps
     out = (np.empty((n, n_arms, t, cfg.n_agents, 5)), np.empty((n, n_arms, t, 1)),
            np.empty((n, n_arms, t), dtype=np.uint8), np.empty((n, n_arms, t)))
-    for lo in range(0, n, CHUNK):
-        hi = min(lo + CHUNK, n)
+    chunk = min(CHUNK, max(1, 2 * CHUNK // n_arms))
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
         seeds = derive_seeds(seed, f"episode/{name}",
                              np.arange(lo, hi, dtype=np.uint64))
         rows = simulate_batch(cfg, seeds, starts[lo:hi], forks)
@@ -225,9 +229,8 @@ def load_dataset(out_dir: str) -> Dataset:
     """Read <out_dir>/dataset.npz; floats come back as float64."""
     arrays, meta = artifact.load(
         os.path.join(out_dir, DATASET_FILE),
-        [f"{part}_{name}" for part, names in _PARTS for name in names])
-    if meta.get("format") != DATASET_FORMAT:
-        raise ContractError("unrecognized dataset format")
+        [f"{part}_{name}" for part, names in _PARTS for name in names],
+        DATASET_FORMAT, ("seed", "sim", "arms", "untreated_fraction"))
     arrays = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr
               for key, arr in arrays.items()}
     part = {p: [arrays[f"{p}_{name}"] for name in names] for p, names in _PARTS}

@@ -214,8 +214,7 @@ def read_eval_dump(path: Path) -> dict:
 
     Returns the arrays by name plus "arms", the arm list of the dump.
     """
-    arrays, meta = artifact.load(Path(path) / DUMP_FILE, _DUMP_ARRAYS)
-    if meta.get("format") != EVAL_DUMP_FORMAT:
-        raise ContractError(f"unknown dump format {meta.get('format')!r}")
+    arrays, meta = artifact.load(Path(path) / DUMP_FILE, _DUMP_ARRAYS,
+                                 EVAL_DUMP_FORMAT, ("arms",))
     arrays["arms"] = meta["arms"]
     return arrays

@@ -453,8 +453,8 @@ class CrnModel:
 
     # single-step pieces, exposed for composition oracles ------------------
 
-    def prior_step(self, leaves, h):
-        return self.prior_head(leaves, self.prior_net(leaves, h))
+    def prior_step(self, leaves, h, with_sigma: bool = True):
+        return self.prior_head(leaves, self.prior_net(leaves, h), with_sigma)
 
     def encode_step(self, leaves, x_next_scaled, h):
         if self.enc_net is None:
@@ -462,9 +462,9 @@ class CrnModel:
         inp = T.concat([T._lift(x_next_scaled), T._lift(h)], 2)
         return self.enc_head(leaves, self.enc_net(leaves, inp))
 
-    def decode_step(self, leaves, z, h):
+    def decode_step(self, leaves, z, h, with_sigma: bool = True):
         inp = T.concat([T._lift(z), T._lift(h)], 2)
-        return self.dec_head(leaves, self.dec_net(leaves, inp))
+        return self.dec_head(leaves, self.dec_net(leaves, inp), with_sigma)
 
     def recurrence_step(self, leaves, x_next_scaled, z, h):
         inp = T.concat([T._lift(x_next_scaled), T._lift(z)], 2)
@@ -604,6 +604,11 @@ class CrnModel:
         decoder -> proposal, the treatment head, and the ELBO terms.  The
         decoder runs only where `decodes(t, mode)`.
 
+        A Gaussian head computes its sigma only where something reads it: a
+        KL term, a sampled draw, a reconstruction NLL or the trace.  So a
+        deterministic infer step runs no sigma half, and mu, z and every
+        output are bitwise those of a step that computes them all.
+
         Arguments are those of `step`.  Returns None for rnn_baseline, which
         has no such half.
         """
@@ -625,9 +630,11 @@ class CrnModel:
             raise ContractError("burn-in reconstruction needs x[t+1]")
         kl = recon = g_kl = g_recon = z_g = x_g_hat = None
         theta_prop = x_loc_hat = None
-
-        mu_p, sig_p = self.prior_step(leaves, h)
         use_post = train_burn and self.enc_net is not None
+        recon_read = train_burn and self.variant is not ModelVariant.TG_CRN
+
+        mu_p, sig_p = self.prior_step(leaves, h,
+                                      trace or use_post or sample_latents)
         if use_post:
             x_next_sc = T._lift(x_local[:, t + 1] * row)
             mu_q, sig_q = self.encode_step(leaves, x_next_sc, h)
@@ -641,21 +648,22 @@ class CrnModel:
             z = mu_z
 
         if decode:
-            mu_d, sig_d = self.decode_step(leaves, z, h)
+            mu_d, sig_d = self.decode_step(leaves, z, h, trace or recon_read)
             if self.variant.uses_theory:
                 theta_prop = T.mul(T.tanh(mu_d), np.pi)
                 recon_mu, recon_sig = theta_prop, sig_d
             else:
                 x_loc_hat = T.mul(mu_d, 1.0 / row)
                 recon_mu, recon_sig = mu_d, sig_d
-            if train_burn and self.variant is not ModelVariant.TG_CRN:
+            if recon_read:
                 recon_target = (x_local[:, t + 1, :, 4:5]
                                 if self.variant.uses_theory
                                 else x_local[:, t + 1] * row)
                 recon = T.gaussian_nll(recon_mu, recon_sig, recon_target)
 
         if gv:
-            g_mu_p, g_sig_p = self.g_pri_head(leaves, self.g_pri(leaves, h_g))
+            g_mu_p, g_sig_p = self.g_pri_head(leaves, self.g_pri(leaves, h_g),
+                                              use_post or sample_latents)
             if use_post:
                 g_in = T.concat([T._lift(x_global[:, t + 1]), h_g], 1)
                 g_mu_q, g_sig_q = self.g_enc_head(
@@ -668,7 +676,8 @@ class CrnModel:
                    if sample_latents else g_mu_z)
             if decode:
                 g_mu_d, g_sig_d = self.g_dec_head(
-                    leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)))
+                    leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)),
+                    train_burn)
                 x_g_hat = g_mu_d
                 if train_burn:
                     g_recon = T.gaussian_nll(g_mu_d, g_sig_d,
@@ -788,7 +797,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
     Only the free-run steps decode covariates (`CrnModel.decodes`): the
     burn-in prefix takes the observed covariates and step T-1 would predict
-    a step past the episode.
+    a step past the episode.  No output reads a Gaussian head's sigma
+    unless mc_samples > 0 draws latents from the prior, so a deterministic
+    call runs the mu halves only (see `CrnModel.latent`).
 
     Returns a dict with y_final (n, A), tau_hat (n, A-1), best_timing (n,),
     y_all (n, A, T) and a_all (n, A, T).  With trace=True it also holds the

@@ -1,8 +1,11 @@
 """Named parameter storage, Adam updates and bit-exact checkpoints.
 
-A checkpoint is one ``<stem>.npz`` (see ``artifact``) holding every
-parameter and both Adam moment buffers as float64, with ``step_count`` and
-the string ``meta`` map in its metadata.
+A checkpoint (format ``paramstore-v3``) is one ``<stem>.npz`` (see
+``artifact``) of three packed float64 arrays: ``param``, ``adam_m`` and
+``adam_v``, each every parameter's values raveled in C order and
+concatenated in store order.  The metadata holds the parameter names and
+shapes that cut them apart, ``step_count`` and the string ``meta`` map.
+Loading reads four zip entries however many parameters there are.
 """
 
 import numpy as np
@@ -97,38 +100,54 @@ def adam_step_grads(store: ParamStore, grads: dict[str, np.ndarray],
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one <stem>.npz of float64 parameters and Adam moments
+# checkpoint format: one <stem>.npz of three packed float64 arrays
 
-CHECKPOINT_FORMAT = "paramstore-v2"
+CHECKPOINT_FORMAT = "paramstore-v3"
+_PACKED = ("param", "adam_m", "adam_v")
 
 
 def save_checkpoint(store: ParamStore, stem: str) -> list[str]:
     """Write <stem>.npz; round-trips bit-exactly.  Returns [path]."""
-    arrays = {}
-    for name, param in store.params.items():
-        arrays[f"param/{name}"] = param.array
-        arrays[f"adam_m/{name}"] = store.adam_m[name]
-        arrays[f"adam_v/{name}"] = store.adam_v[name]
+    names = list(store.params)
+    columns = ([store.params[n].array for n in names],
+               [store.adam_m[n] for n in names],
+               [store.adam_v[n] for n in names])
+    arrays = {key: np.concatenate([np.ravel(a) for a in arrs] or [[]])
+              for key, arrs in zip(_PACKED, columns)}
     path = stem + ".npz"
     artifact.save(path, arrays, {
         "format": CHECKPOINT_FORMAT, "step_count": store.step_count,
-        "params": list(store.params), "meta": store.meta})
+        "params": names, "shapes": [list(store.params[n].shape) for n in names],
+        "meta": store.meta})
     return [path]
 
 
 def load_checkpoint(stem: str) -> ParamStore:
+    """Read <stem>.npz; any other format, or packed arrays that disagree
+    with the stored names and shapes, is a ContractError."""
     path = stem + ".npz"
-    arrays, meta = artifact.load(path, ())
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise ContractError(f"checkpoint {path!r} has an unrecognized format")
+    arrays, meta = artifact.load(path, _PACKED, CHECKPOINT_FORMAT,
+                                 ("step_count", "meta", "params", "shapes"))
+    names, shapes = meta["params"], meta["shapes"]
+    try:
+        shapes = [tuple(int(d) for d in shape) for shape in shapes]
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"checkpoint {path!r} has bad shapes") from exc
+    if len(shapes) != len(names) or any(d < 0 for sh in shapes for d in sh):
+        raise ContractError(f"checkpoint {path!r} has bad shapes")
+    if len(set(names)) != len(names):
+        raise ContractError(f"checkpoint {path!r} repeats a parameter name")
+    ends = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+    for key in _PACKED:
+        if arrays[key].dtype != np.float64 or arrays[key].shape != (ends[-1],):
+            raise ContractError(
+                f"checkpoint {path!r}: {key} holds {arrays[key].shape} "
+                f"{arrays[key].dtype}, the shapes need ({ends[-1]},) float64")
     store = ParamStore()
     store.step_count = meta["step_count"]
     store.meta = meta["meta"]
-    try:
-        for name in meta["params"]:
-            store.params[name] = Tensor(arrays[f"param/{name}"])
-            store.adam_m[name] = arrays[f"adam_m/{name}"]
-            store.adam_v[name] = arrays[f"adam_v/{name}"]
-    except KeyError as exc:
-        raise ContractError(f"checkpoint {path!r} lacks entry {exc}") from exc
+    for name, shape, lo, hi in zip(names, shapes, ends[:-1], ends[1:]):
+        store.params[name] = Tensor(arrays["param"][lo:hi].reshape(shape))
+        store.adam_m[name] = arrays["adam_m"][lo:hi].reshape(shape)
+        store.adam_v[name] = arrays["adam_v"][lo:hi].reshape(shape)
     return store

@@ -184,8 +184,14 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) never
+    # overflowing: one division of the picked numerator, e made in place
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(x >= 0, 1.0, e)
+    np.add(e, 1.0, out=e)
+    return np.divide(num, e, out=num)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Batches are processed as micro-batches whose gradients are accumulated with
 weights proportional to their size, so the update equals the full-batch
 gradient while peak memory stays bounded by the micro-batch.  Validation is
-deterministic (latents at their means), the per-epoch loss log is written as
-CSV, and the returned parameters are the minimum-validation-loss snapshot.
+deterministic (latents at their means), the per-epoch loss log and the
+per-step gradient norms are written as CSV, and the returned parameters are
+the minimum-validation-loss snapshot.
 """
 
 import csv
@@ -22,6 +23,7 @@ from .optim import ParamStore, adam_step_grads, save_checkpoint
 from .rng import Rng, derive_seed
 
 LOG_FIELDS = ("l_y", "l_x", "l_a", "l_elbo", "total")
+STEP_FIELDS = ("epoch", "step", "grad_norm", "clipped")
 
 
 @dataclass
@@ -100,8 +102,12 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
 
     The summary carries per-epoch rows (also written to loss_log.csv under
     out_dir together with best/last checkpoints), the initial validation
-    loss, the selected epoch, and the count of gradient-clip events.  A
-    non-finite training or validation loss raises NumericError.
+    loss, the selected epoch, and the count of gradient-clip events.  Under
+    out_dir, steps.csv holds one row per optimizer step: its epoch, the
+    optimizer's step count, the global gradient norm before clipping and
+    whether it was clipped (0/1).  Neither file holds a wall-clock value,
+    so identical runs write identical bytes.  A non-finite training or
+    validation loss raises NumericError.
 
     Each micro-batch's tape is released once its leaf gradients have been
     accumulated, so no forward pass runs while an earlier tape is alive.
@@ -116,7 +122,7 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
     best_val = init_val["total"]
     best_store = store.copy()
     best_epoch = 0
-    rows = []
+    rows, steps = [], []
     clip_events = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -146,9 +152,11 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
                 # the loss tensors reference the tape; drop them so this
                 # micro-batch's tape is freed before the next forward pass
                 del tape, leaves, total, scaled
-            _, clipped = _clip_grads(grads_sum, cfg.clip_norm)
+            norm, clipped = _clip_grads(grads_sum, cfg.clip_norm)
             clip_events += int(clipped)
             adam_step_grads(store, grads_sum, cfg.lr)
+            steps.append({"epoch": epoch, "step": store.step_count,
+                          "grad_norm": float(norm), "clipped": int(clipped)})
         val = _checked(validation_loss(model, store, val_split, cfg.weights,
                                        cfg.micro_batch), f"at epoch {epoch}")
         rows.append({"epoch": epoch,
@@ -166,12 +174,14 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "loss_log.csv", "w", newline="") as fh:
-            names = ["epoch"] + [f"train_{k}" for k in LOG_FIELDS] \
-                + [f"val_{k}" for k in LOG_FIELDS]
-            writer = csv.DictWriter(fh, fieldnames=names)
-            writer.writeheader()
-            writer.writerows(rows)
+        names = ["epoch"] + [f"train_{k}" for k in LOG_FIELDS] \
+            + [f"val_{k}" for k in LOG_FIELDS]
+        for name, fields, table in (("loss_log.csv", names, rows),
+                                    ("steps.csv", STEP_FIELDS, steps)):
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=fields)
+                writer.writeheader()
+                writer.writerows(table)
         save_checkpoint(best_store, str(out / "best"))
         save_checkpoint(store, str(out / "last"))
     return best_store, summary

@@ -300,23 +300,30 @@ def corrupt(path, how, drop):
     elif how == "junk":
         path.write_bytes(bytes(range(256)) * 4)
     else:
+        # "missing" drops the array drop[0] names, "meta" the metadata key
+        # drop[1] names
         arrays, meta = artifact.load(path, ())
-        del arrays[drop(meta)]
+        if how == "missing":
+            del arrays[drop[0]]
+        else:
+            del meta[drop[1]]
         artifact.save(path, arrays, meta)
 
 
 ARTIFACTS = {
-    # kind: (directory under the pipeline, file, loader, required key)
+    # kind: (directory under the pipeline, file, loader,
+    #        (required array, required metadata key))
     "dataset": ("dataset", "dataset.npz", load_dataset,
-                lambda meta: "train_outcome"),
+                ("train_outcome", "seed")),
     "checkpoint": ("train", "last.npz",
                    lambda d: load_checkpoint(str(d / "last")),
-                   lambda meta: "param/" + meta["params"][0]),
-    "eval dump": (None, "dump.npz", read_eval_dump, lambda meta: "y_pred"),
+                   ("param", "step_count")),
+    "eval dump": (None, "dump.npz", read_eval_dump, ("y_pred", "arms")),
 }
 
 
-@pytest.mark.parametrize("how", ["truncated", "flipped", "junk", "missing"])
+@pytest.mark.parametrize("how", ["truncated", "flipped", "junk", "missing",
+                                 "meta"])
 @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
 def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
                                             kind, how):
@@ -327,6 +334,28 @@ def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
     corrupt(tmp_path / name, how, drop)
     with pytest.raises(ContractError):
         loader(tmp_path)
+
+
+REQUIRED_META = {
+    "dataset": ("format", "seed", "sim", "arms", "untreated_fraction"),
+    "checkpoint": ("format", "step_count", "meta", "params", "shapes"),
+    "eval dump": ("format", "arms"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_each_missing_metadata_key_is_contract_error(pipeline, eval_dir,
+                                                     tmp_path, kind):
+    sub, name, loader, _ = ARTIFACTS[kind]
+    src = eval_dir if sub is None else pipeline["root"] / sub
+    arrays, meta = artifact.load(src / name, ())
+    assert set(REQUIRED_META[kind]) <= set(meta)
+    for key in REQUIRED_META[kind]:
+        artifact.save(tmp_path / name, arrays,
+                      {k: v for k, v in meta.items() if k != key})
+        with pytest.raises(ContractError, match=key if key != "format"
+                           else "format None"):
+            loader(tmp_path)
 
 
 def test_eval_dump_v2_is_contract_error(eval_dir, tmp_path):

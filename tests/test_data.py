@@ -135,6 +135,31 @@ def test_dataset_does_not_depend_on_chunk_size(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
+def test_simulation_calls_are_bounded_by_rows(monkeypatch):
+    # a call steps at most CHUNK episodes and 2 CHUNK rows, forks included
+    calls = []
+    honest = data_module.simulate_batch
+
+    def recorded(cfg, seeds, starts, forks=()):
+        calls.append((len(seeds), len(seeds) * (1 + len(forks))))
+        return honest(cfg, seeds, starts, forks)
+
+    monkeypatch.setattr(data_module, "simulate_batch", recorded)
+    chunk = data_module.CHUNK
+    generate_dataset(SimConfig(), 1, 1, 400, seed=3)
+    # the 400 test episodes run six rows each: 42 episodes (252 rows) a call
+    cf_calls = calls[:-2]
+    assert [n for n, _ in cf_calls] == [42] * 9 + [22]
+    assert all(rows <= 2 * chunk and n <= chunk for n, rows in calls)
+    assert calls[-2:] == [(1, 1), (1, 1)]
+
+    # factual splits keep CHUNK episodes a call; the desk gen's 32 test
+    # episodes (192 rows) stay one call
+    calls.clear()
+    generate_dataset(SimConfig(), 300, 1, 32, seed=3)
+    assert calls == [(32, 192), (128, 128), (128, 128), (44, 44), (1, 1)]
+
+
 def per_episode_assign(cfg, seed, name, n, untreated_fraction):
     """The assignment drawn one episode at a time: two uniforms each."""
     steps = cfg.intervention_steps

@@ -5,7 +5,7 @@ import pytest
 
 import cfswarm.model as model_module
 import cfswarm.tensor as T
-from cfswarm.blocks import GnnBlock, treatment_head
+from cfswarm.blocks import GaussianHead, GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.losses import LossWeights, loss_total
@@ -954,3 +954,109 @@ def test_matmul_skipping_constants_keeps_gradients_bitwise(variant,
     assert got.keys() == ref.keys()
     for name in got:
         assert np.array_equal(got[name], ref[name]), name
+
+
+# a Gaussian head's sigma is computed only where something reads it ---------
+
+
+def always_sigma(monkeypatch):
+    """Make every Gaussian head compute its sigma, as all heads once did."""
+    forward = GaussianHead.forward
+
+    def with_sigma(head, leaves, x, with_sigma=True):
+        return forward(head, leaves, x, True)
+
+    monkeypatch.setattr(GaussianHead, "forward", with_sigma)
+    monkeypatch.setattr(GaussianHead, "__call__", with_sigma)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_skipped_sigmas_change_no_output(variant, monkeypatch):
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=45)
+    x_local, x_global, treatment = batch_from_sim(cfg, 3, seed=45,
+                                                  intervention=10)
+    outcome = np.stack([simulate(cfg, 45 + i, 10).outcome
+                        for i in range(3)]).astype(np.float64)
+
+    def run():
+        preds = [predict_ite(model, store, x_local, x_global, chunk=2,
+                             mc_samples=mc, seed=5, trace=trace)
+                 for mc in (0, 2) for trace in (False, True)]
+        losses = []
+        for rng in (Rng(derive_seed(6, "sigma")), None):
+            tape = T.Tape()
+            leaves = store.bind(tape)
+            roll = model.rollout(leaves, x_local, x_global, treatment,
+                                 "train", rng=rng,
+                                 sample_latents=rng is not None)
+            total, parts = loss_total(roll, x_local, x_global, outcome,
+                                      treatment, LossWeights())
+            T.backward(total)
+            losses.append((parts, store.gradients()))
+        return preds, losses
+
+    preds, losses = run()
+    always_sigma(monkeypatch)
+    ref_preds, ref_losses = run()
+    for got, ref in zip(preds, ref_preds):
+        assert got.keys() == ref.keys()
+        for key in got:
+            assert np.array_equal(got[key], ref[key]), key
+    for (parts, grads), (ref_parts, ref_grads) in zip(losses, ref_losses):
+        assert parts == ref_parts
+        assert grads.keys() == ref_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_deterministic_desk_chunk_runs_no_sigma_head(monkeypatch):
+    # one 32-episode desk chunk reads only mu: no softplus at all, where
+    # every head computing its sigma made 24 prior and 11 decoder ones
+    calls = []
+    softplus = T.softplus
+
+    def counted(a):
+        calls.append(None)
+        return softplus(a)
+
+    monkeypatch.setattr(T, "softplus", counted)
+    cfg = SimConfig().validate()
+    model = CrnModel(ModelVariant.TGV_CRN, cfg, SMALL)
+    store = model.init_store(46)
+    x_local, x_global, _ = batch_from_sim(cfg, 32, seed=46)
+    predict_ite(model, store, x_local, x_global, chunk=32)
+    assert calls == []
+    # a sampled call reads the prior's sigma at every latent half
+    predict_ite(model, store, x_local, x_global, chunk=32, mc_samples=1)
+    assert len(calls) == 24
+    calls.clear()
+    always_sigma(monkeypatch)
+    predict_ite(model, store, x_local, x_global, chunk=32)
+    assert len(calls) == 35
+
+
+@pytest.mark.parametrize("mode", ["train", "infer"])
+def test_traced_rollout_keeps_sigma_traces(mode, monkeypatch):
+    cfg = fork_cfg()
+    model, store, leaves = bound_model(ModelVariant.TGV_CRN, cfg, seed=47)
+    x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=47)
+
+    def traces():
+        roll = model.rollout(leaves, x_local, x_global, treatment, mode,
+                             sample_latents=False, trace=True)
+        return roll.traces
+
+    got = traces()
+    always_sigma(monkeypatch)
+    ref = traces()
+    n_dec = sum(model.decodes(t, mode) for t in range(cfg.n_steps))
+    assert len(got["sigma_pri"]) == cfg.n_steps
+    assert len(got["sigma_dec"]) == n_dec > 0
+    assert got.keys() == ref.keys()
+    for key in got:
+        assert len(got[key]) == len(ref[key])
+        for a, b in zip(got[key], ref[key]):
+            assert np.array_equal(a, b), key
+    assert all(np.all(sig > 0) for key in ("sigma_pri", "sigma_dec")
+               for sig in got[key])

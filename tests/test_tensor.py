@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 import cfswarm.tensor as T
+from cfswarm import artifact
+from cfswarm.boids import SimConfig
 from cfswarm.errors import ContractError, DimensionError, DomainError
 from cfswarm.gradcheck import check_ops, fd_check
+from cfswarm.model import CrnModel, ModelVariant
 from cfswarm.optim import (ParamStore, adam_step_grads, load_checkpoint,
                            save_checkpoint)
 from cfswarm.rng import Rng
@@ -78,6 +81,28 @@ def test_stable_sigmoid_bitwise_equals_two_branch_form():
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _where_sigmoid(x):
+    # the where form the in-place form replaced, kept as its reference
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_stable_sigmoid_bitwise_equals_where_form():
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 700.0,
+                      -700.0, 5e-324, -5e-324, np.nan, -np.nan])
+    normals = np.random.default_rng(1).normal(size=3000)
+    x = np.concatenate([edges, normals, normals * 10.0, normals * 300.0])
+    for arr in (x, x.reshape(-1, 4)[:, ::2], x.reshape(3, -1, 2)):
+        got, want = T._stable_sigmoid(arr), _where_sigmoid(arr)
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64),
+                              want[~nan].view(np.int64))
+    # the input is not written to
+    assert np.isnan(x[10]) and x[2] == np.inf and x[1] == 0.0
 
 
 def test_unary_values():
@@ -446,3 +471,75 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_missing_files_rejected(tmp_path):
     with pytest.raises(ContractError):
         load_checkpoint(str(tmp_path / "nothing"))
+
+
+def stepped_store(variant):
+    """A variant's initial store after one Adam step, so both moments and
+    the step count are nonzero."""
+    model = CrnModel(variant, SimConfig(n_agents=3, n_steps=6, burn_in=3,
+                                        t_i_start=3, t_i_end=4))
+    store = model.init_store(7)
+    rng = np.random.default_rng(8)
+    adam_step_grads(store, {n: rng.normal(size=p.shape)
+                            for n, p in store.params.items()}, lr=0.01)
+    store.meta["note"] = "round trip"
+    return store
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_checkpoint_round_trip_every_variant(variant, tmp_path):
+    store = stepped_store(variant)
+    stem = str(tmp_path / "ckpt")
+    save_checkpoint(store, stem)
+    loaded = load_checkpoint(stem)
+    assert loaded.step_count == store.step_count == 1
+    assert loaded.meta == store.meta
+    assert list(loaded.params) == list(store.params)
+    for n in store.params:
+        for got, want in ((loaded.params[n].array, store.params[n].array),
+                          (loaded.adam_m[n], store.adam_m[n]),
+                          (loaded.adam_v[n], store.adam_v[n])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n
+    # four zip entries: the three packed arrays and the metadata
+    arrays, meta = artifact.load(stem + ".npz", ())
+    assert sorted(arrays) == ["adam_m", "adam_v", "param"]
+    assert meta["format"] == "paramstore-v3"
+
+
+def test_checkpoint_v2_is_contract_error_naming_its_format(tmp_path):
+    store = make_store()
+    arrays = {}
+    for name, param in store.params.items():
+        arrays[f"param/{name}"] = param.array
+        arrays[f"adam_m/{name}"] = store.adam_m[name]
+        arrays[f"adam_v/{name}"] = store.adam_v[name]
+    artifact.save(str(tmp_path / "old.npz"), arrays, {
+        "format": "paramstore-v2", "step_count": 0,
+        "params": list(store.params), "meta": {}})
+    with pytest.raises(ContractError, match="paramstore-v2"):
+        load_checkpoint(str(tmp_path / "old"))
+
+
+def test_checkpoint_packing_mismatch_is_contract_error(tmp_path):
+    stem = str(tmp_path / "ckpt")
+    save_checkpoint(make_store(), stem)
+    arrays, meta = artifact.load(stem + ".npz", ())
+    cases = []
+    for key in ("param", "adam_m", "adam_v"):
+        short = dict(arrays, **{key: arrays[key][:-1]})
+        cases.append((short, meta))
+    cases.append((arrays, dict(meta, shapes=[[3], [2, 1]])))
+    cases.append((arrays, dict(meta, shapes=[[3]])))
+    cases.append((arrays, dict(meta, shapes=[[3], "x"])))
+    # sizes that add up, but from negative dimensions
+    cases.append((arrays, dict(meta, shapes=[[3], [-1, -1]])))
+    for i, (arrs, m) in enumerate(cases):
+        bad = str(tmp_path / f"bad{i}")
+        artifact.save(bad + ".npz", arrs, m)
+        with pytest.raises(ContractError):
+            load_checkpoint(bad)
+    artifact.save(str(tmp_path / "dup.npz"), arrays,
+                  dict(meta, params=["w", "w"]))
+    with pytest.raises(ContractError, match="repeats"):
+        load_checkpoint(str(tmp_path / "dup"))

@@ -125,6 +125,35 @@ def test_out_dir_artifacts(mini_ds, tmp_path):
     assert last.params.keys() == best.params.keys()
 
 
+def test_steps_csv_logs_every_optimizer_step(mini_ds, tmp_path):
+    model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
+    runs = []
+    for name, clip in (("a", 0.15), ("b", 0.15), ("loose", 1e9)):
+        _, summary = train(model, mini_ds,
+                           make_cfg(epochs=3, batch_size=3, clip_norm=clip),
+                           str(tmp_path / name))
+        runs.append(summary)
+    with open(tmp_path / "a" / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["epoch", "step", "grad_norm", "clipped"]
+    # 8 episodes in batches of 3: three optimizer steps per epoch
+    assert [int(r["epoch"]) for r in rows] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+    assert [int(r["step"]) for r in rows] == list(range(1, 10))
+    norms = [float(r["grad_norm"]) for r in rows]
+    assert all(np.isfinite(v) and v > 0 for v in norms)
+    clipped = [int(r["clipped"]) for r in rows]
+    assert clipped == [int(v > 0.15) for v in norms]
+    assert sum(clipped) == runs[0]["clip_events"]
+    assert 0 < runs[0]["clip_events"] < len(rows)
+    assert (tmp_path / "a" / "steps.csv").read_bytes() == \
+        (tmp_path / "b" / "steps.csv").read_bytes()
+    # the norm is taken before clipping, so it does not depend on clip_norm
+    with open(tmp_path / "loose" / "steps.csv", newline="") as fh:
+        loose = list(csv.DictReader(fh))
+    assert float(loose[0]["grad_norm"]) == norms[0]
+    assert sum(int(r["clipped"]) for r in loose) == runs[2]["clip_events"] == 0
+
+
 def test_clip_events_counted(mini_ds):
     model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
     _, tight = train(model, mini_ds, make_cfg(epochs=2, clip_norm=1e-6))
