@@ -116,11 +116,8 @@ class GnnBlock:
         self.f_v.register(store, rng)
 
     def forward(self, leaves, nodes):
-        """nodes (B, K, F) -> (B, K, n_out); also accepts (K, F)."""
+        """nodes (B, K, F) -> (B, K, n_out)."""
         nodes = T._lift(nodes)
-        squeeze = nodes.array.ndim == 2
-        if squeeze:
-            nodes = T.reshape(nodes, (1,) + nodes.array.shape)
         if nodes.array.ndim != 3 or nodes.array.shape[-1] != self.n_in:
             raise DimensionError(f"{self.name}: expected (B, K, {self.n_in}) nodes")
         _, k, f = nodes.array.shape
@@ -133,10 +130,7 @@ class GnnBlock:
                                 leaves[f"{self.name}.fe.b0"])
         agg = T.add(T.matmul(h_sum, leaves[f"{self.name}.fe.w1"]),
                     T.mul(leaves[f"{self.name}.fe.b1"], float(k - 1)))
-        out = self.f_v(leaves, agg)
-        if squeeze:
-            out = T.reshape(out, (k, self.n_out))
-        return out
+        return self.f_v(leaves, agg)
 
     __call__ = forward
 
@@ -159,18 +153,13 @@ class FlatBlock:
         self.mlp.register(store, rng)
 
     def forward(self, leaves, nodes):
+        """nodes (B, K, F) -> (B, K, n_out)."""
         nodes = T._lift(nodes)
-        squeeze = nodes.array.ndim == 2
-        if squeeze:
-            nodes = T.reshape(nodes, (1,) + nodes.array.shape)
-        b, k, f = nodes.array.shape
-        if k != self.n_agents or f != self.n_in:
+        if nodes.array.shape[1:] != (self.n_agents, self.n_in):
             raise DimensionError(f"{self.name}: expected (B, {self.n_agents}, {self.n_in})")
+        b, k, f = nodes.array.shape
         out = self.mlp(leaves, T.reshape(nodes, (b, k * f)))
-        out = T.reshape(out, (b, k, self.n_out))
-        if squeeze:
-            out = T.reshape(out, (k, self.n_out))
-        return out
+        return T.reshape(out, (b, k, self.n_out))
 
     __call__ = forward
 

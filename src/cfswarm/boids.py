@@ -83,17 +83,6 @@ class BoidState:
     positions: np.ndarray  # (K, 2)
     headings: np.ndarray   # (K, 2), unit rows
 
-    def validate(self, cfg: SimConfig) -> "BoidState":
-        k = cfg.n_agents
-        if self.positions.shape != (k, 2) or self.headings.shape != (k, 2):
-            raise DimensionError("state arrays must be (K, 2)")
-        if np.any(np.abs(self.positions) > cfg.box_half + 1e-9):
-            raise ContractError("positions outside the boundary box")
-        norms = np.sqrt(np.sum(self.headings ** 2, axis=1))
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise ContractError("headings must be unit vectors")
-        return self
-
 
 def _pairwise(px: np.ndarray, py: np.ndarray):
     """Coordinate planes dx[..., j, k] = x_j - x_k and dy[..., j, k] =

@@ -4,9 +4,10 @@ Subcommands: gen (write a dataset), train (fit a variant on a dataset),
 eval (score a checkpoint on the counterfactual test set), cf-rollout (dump
 predicted counterfactual trajectories), gradcheck (finite-difference
 audit), sweep (loss-weight sensitivity table).  Every command is driven by
-one sectioned config file; --out and --checkpoint override the [paths]
-section.  Each command writes run_manifest.json with sha256 checksums of
-its output files, so identical configs and seeds give identical checksums.
+one sectioned config file; --out (and --checkpoint, which only eval and
+cf-rollout take) override the [paths] section.  Each command writes
+run_manifest.json with sha256 checksums of its output files, so identical
+configs and seeds give identical checksums.
 
 Exit codes: 0 success, 1 contract/config error, 2 numeric failure.
 """
@@ -18,8 +19,6 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, artifact
 from .config import RunConfig, load_config, require_sim_match
@@ -182,10 +181,9 @@ def cmd_cf_rollout(cfg: RunConfig, args) -> int:
     model = CrnModel(cfg.variant, ds.cfg, cfg.dims)
     cf = ds.cf
     arms = [a for a in cf.arms if a >= 0]
-    pred = predict_ite(model, store, cf.x_local[:, -1].astype(np.float64),
-                       cf.x_global[:, -1].astype(np.float64), arms=arms,
-                       mc_samples=cfg.eval.mc_samples, seed=cfg.eval.seed,
-                       chunk=cfg.eval.chunk, trace=True)
+    pred = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
+                       arms=arms, mc_samples=cfg.eval.mc_samples,
+                       seed=cfg.eval.seed, chunk=cfg.eval.chunk)
     artifact.save(out / DUMP_FILE, {
         "y_pred": pred["y_all"], "a_pred": pred["a_all"],
         "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
@@ -268,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sectioned key=value run config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [paths])")
-        p.add_argument("--checkpoint", default=None,
-                       help="checkpoint stem to load (eval, cf-rollout)")
+        if name in ("eval", "cf-rollout"):
+            p.add_argument("--checkpoint", default=None,
+                           help="checkpoint stem to load")
         if name == "sweep":
             p.add_argument("--grid", default=None,
                            help="CSV grid file with columns "

@@ -67,6 +67,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         self.sim.validate()
         self.data.validate()
+        self.dims.validate()
         self.train.validate()
         self.eval.validate()
         return self

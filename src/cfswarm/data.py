@@ -215,14 +215,18 @@ def save_dataset(ds: Dataset, out_dir: str) -> list[str]:
 
 
 def sim_config_from_echo(echo: dict) -> SimConfig:
-    import ast
+    """The SimConfig that `SimConfig.echo` wrote, read by the literal rules
+    of a config file's [sim] values: a malformed value is a ConfigError."""
+    from .config import _apply  # config imports training, which imports data
 
-    kwargs = {}
+    if not isinstance(echo, dict):
+        raise ConfigError("dataset metadata 'sim' is not a map")
+    cfg = SimConfig()
     for f in SimConfig.__dataclass_fields__:
         if f not in echo:
             raise ConfigError(f"dataset metadata missing sim field {f!r}")
-        kwargs[f] = ast.literal_eval(echo[f])
-    return SimConfig(**kwargs).validate()
+        _apply(cfg, "dataset sim", {f: echo[f]})
+    return cfg.validate()
 
 
 def load_dataset(out_dir: str) -> Dataset:

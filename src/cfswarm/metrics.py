@@ -92,8 +92,8 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
 
     y_pred (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, W, K, 5) and
     x_g_pred (n, A, W, 1) hold the predictions of the W world steps of
-    covariate_window(cfg), in order, as predict_ite returns them with
-    trace=True; best_pred (n,) holds predicted best intervention steps.
+    covariate_window(cfg), in order, as predict_ite returns them;
+    best_pred (n,) holds predicted best intervention steps.
     Returns (MetricsReport, per-episode dict).
     """
     n, n_arms, n_steps = cf.outcome.shape
@@ -167,11 +167,9 @@ def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
         raise ContractError("evaluation needs a counterfactual set")
     cfg = model.cfg
     arms = [a for a in cf.arms if a >= 0]
-    prefix_x = cf.x_local[:, -1].astype(np.float64)
-    prefix_g = cf.x_global[:, -1].astype(np.float64)
-    pred = predict_ite(model, store, prefix_x, prefix_g, arms=arms,
-                       mc_samples=mc_samples, seed=seed, chunk=chunk,
-                       trace=True)
+    pred = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
+                       arms=arms, mc_samples=mc_samples, seed=seed,
+                       chunk=chunk)
     report, per_episode = compute_metrics(
         cf, dataset.test.outcome.astype(np.float64), pred["y_all"],
         pred["x_loc_hat"], pred["x_g_hat"], pred["best_timing"], cfg,

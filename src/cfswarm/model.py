@@ -10,6 +10,8 @@ probabilities from the pooled latent.
 Rollouts teacher-force observed covariates for the burn-in prefix and then
 free-run on the model's own predictions, which is what makes counterfactual
 treatment sequences answerable: arms differ only in the treatment input.
+A rollout given an rng draws its latents from it (variational variants
+only); without one every latent sits at its mean.
 
 Variants: the full model (theory + GNN + variational), and ablations that
 drop the theory layer (decoder predicts covariates directly, plus a separate
@@ -18,7 +20,7 @@ or swap GNNs for flat MLPs; plus a plain GRU baseline with none of the
 structure.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -27,7 +29,7 @@ from . import tensor as T
 from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp, treatment_head
 from .boids import SimConfig
 from .data import final_effects
-from .errors import ContractError, DimensionError, DomainError
+from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .optim import ParamStore
 from .rng import Rng, derive_seed
 
@@ -70,6 +72,12 @@ class ModelDims:
     g_latent: int = 4
     g_feat: int = 16
     rnn_hidden: int = 64   # flat GRU baseline
+
+    def validate(self) -> "ModelDims":
+        small = [f.name for f in fields(self) if getattr(self, f.name) < 1]
+        if small:
+            raise ConfigError(f"[model] widths must be at least 1: {small}")
+        return self
 
 
 @dataclass
@@ -451,26 +459,9 @@ class CrnModel:
         store.meta["variant"] = self.variant.value
         return store
 
-    # single-step pieces, exposed for composition oracles ------------------
-
-    def prior_step(self, leaves, h, with_sigma: bool = True):
-        return self.prior_head(leaves, self.prior_net(leaves, h), with_sigma)
-
-    def encode_step(self, leaves, x_next_scaled, h):
-        if self.enc_net is None:
-            raise ContractError("this variant has no encoder")
-        inp = T.concat([T._lift(x_next_scaled), T._lift(h)], 2)
-        return self.enc_head(leaves, self.enc_net(leaves, inp))
-
-    def decode_step(self, leaves, z, h, with_sigma: bool = True):
-        inp = T.concat([T._lift(z), T._lift(h)], 2)
-        return self.dec_head(leaves, self.dec_net(leaves, inp), with_sigma)
-
-    def recurrence_step(self, leaves, x_next_scaled, z, h):
-        inp = T.concat([T._lift(x_next_scaled), T._lift(z)], 2)
-        return self.rnn(leaves, inp, h)
-
     def outcome_step(self, leaves, z, x_g, a_col):
+        """Outcome probability (B, 1) from the agent-pooled latent, the
+        global signal and the treatment column."""
         pooled = _pool(T._lift(z), self.cfg.n_agents)
         inp = T.concat([pooled, T._lift(x_g), T._lift(a_col)], 1)
         return self.mlp_y(leaves, inp)
@@ -508,19 +499,8 @@ class CrnModel:
             raise DimensionError("x_global must be (B, T, 1)")
         return x_local, x_global
 
-    def _sampling(self, mode: str, rng: Rng | None,
-                  sample_latents: bool | None) -> bool:
-        if sample_latents is None:
-            sample_latents = mode == "train"
-        if self.variant in (ModelVariant.TG_CRN, ModelVariant.RNN_BASELINE):
-            sample_latents = False
-        if sample_latents and rng is None:
-            raise ContractError("sampling rollouts need an rng")
-        return sample_latents
-
     def rollout(self, leaves, x_local, x_global, treatment, mode: str,
-                rng: Rng | None = None, sample_latents: bool | None = None,
-                trace: bool = False) -> RolloutOutput:
+                rng: Rng | None = None, trace: bool = False) -> RolloutOutput:
         """Run one batched episode rollout: `init_state`, then `step` per t.
 
         x_local (B, T, K, 5) and x_global (B, T, 1) are raw observed
@@ -528,8 +508,10 @@ class CrnModel:
         treatment (B, T) is the exogenous treatment sequence.  mode "train"
         teacher-forces posterior latents over the burn-in and accumulates
         KL + reconstruction terms; mode "infer" uses the prior throughout.
-        sample_latents defaults to True for train and False for infer.
-        The covariate predictions cover the steps that `decodes`.
+        Latents are drawn from rng when one is given and the variant is
+        variational (`uses_encoder`); otherwise they sit at their means.
+        The covariate predictions cover the steps that `decodes`, and
+        trace=True keeps the latent and decoder means and scales.
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"unknown rollout mode {mode!r}")
@@ -538,7 +520,6 @@ class CrnModel:
         b, n_steps = x_local.shape[0], x_local.shape[1]
         if treatment.shape != (b, n_steps):
             raise ContractError("treatment must be (B, T)")
-        sample_latents = self._sampling(mode, rng, sample_latents)
 
         gv = self.variant is ModelVariant.GV_CRN
         out = RolloutOutput([], [], [], [], [], T._lift(0.0), T._lift(0.0),
@@ -550,7 +531,7 @@ class CrnModel:
         state = self.init_state(b)
         for t in range(n_steps):
             state, so = self.step(leaves, state, t, x_local, x_global,
-                                  treatment, mode, rng, sample_latents, trace)
+                                  treatment, mode, rng, trace)
             out.y_hat.append(so.y_hat)
             out.a_prob.append(so.a_prob)
             out.a_logits.append(so.a_logits)
@@ -572,37 +553,37 @@ class CrnModel:
 
     def step(self, leaves, state: RolloutState, t: int, x_local, x_global,
              treatment, mode: str, rng: Rng | None = None,
-             sample_latents: bool = False, trace: bool = False,
-             latent: StepLatent | None = None):
+             trace: bool = False, latent: StepLatent | None = None):
         """Advance a rollout through step t; returns (next state, StepOutput).
 
-        Arguments are those of `rollout`, already checked, with mode and
-        sample_latents resolved.  Step t reads observed covariates only at
-        burn-in steps (and x[t+1] for train-mode posteriors and targets) and
-        treatment only at column t, so rollouts whose treatments agree before
-        s pass the same state into step s; states are never mutated, so such
-        rollouts can share it.  The next state is None after the last step.
+        Arguments are those of `rollout`, already checked; the step samples
+        its latents exactly when `rollout` would.  Step t reads observed
+        covariates only at burn-in steps (and x[t+1] for train-mode
+        posteriors and targets) and treatment only at column t, so rollouts
+        whose treatments agree before s pass the same state into step s;
+        states are never mutated, so such rollouts can share it.  The next state is None after the last step.
 
         Except in rnn_baseline, whose GRU reads the treatment, a step is
         `latent` (treatment-free) followed by `advance`.  Rollouts sharing a
         state can share step t's latent half too: pass the one `latent`
-        returned for that state and these settings.
+        returned for that state, rng and trace.
         """
         if self.variant is ModelVariant.RNN_BASELINE:
             return self._baseline_step(leaves, state, t, x_local, x_global,
                                        treatment, mode)
         if latent is None:
             latent = self.latent(leaves, state, t, x_local, x_global, mode,
-                                 rng, sample_latents, trace)
+                                 rng, trace)
         return self.advance(leaves, latent, t, x_local, x_global, treatment)
 
     def latent(self, leaves, state: RolloutState, t: int, x_local, x_global,
                mode: str, rng: Rng | None = None,
-               sample_latents: bool = False,
                trace: bool = False) -> StepLatent | None:
         """Step t's treatment-free half: prior (or posterior) -> z ->
         decoder -> proposal, the treatment head, and the ELBO terms.  The
-        decoder runs only where `decodes(t, mode)`.
+        decoder runs only where `decodes(t, mode)`.  z is drawn from rng
+        when one is given and the variant `uses_encoder`, else it is the
+        mean.
 
         A Gaussian head computes its sigma only where something reads it: a
         KL term, a sampled draw, a reconstruction NLL or the trace.  So a
@@ -630,25 +611,26 @@ class CrnModel:
             raise ContractError("burn-in reconstruction needs x[t+1]")
         kl = recon = g_kl = g_recon = z_g = x_g_hat = None
         theta_prop = x_loc_hat = None
+        sample = rng is not None and self.variant.uses_encoder
         use_post = train_burn and self.enc_net is not None
         recon_read = train_burn and self.variant is not ModelVariant.TG_CRN
 
-        mu_p, sig_p = self.prior_step(leaves, h,
-                                      trace or use_post or sample_latents)
+        mu_p, sig_p = self.prior_head(leaves, self.prior_net(leaves, h),
+                                      trace or use_post or sample)
         if use_post:
             x_next_sc = T._lift(x_local[:, t + 1] * row)
-            mu_q, sig_q = self.encode_step(leaves, x_next_sc, h)
+            mu_q, sig_q = self.enc_head(
+                leaves, self.enc_net(leaves, T.concat([x_next_sc, h], 2)))
             kl = T.kl_diag_gauss(mu_q, sig_q, mu_p, sig_p)
             mu_z, sig_z = mu_q, sig_q
         else:
             mu_z, sig_z = mu_p, sig_p
-        if sample_latents:
-            z = T.gaussian_sample(mu_z, sig_z, rng)
-        else:
-            z = mu_z
+        z = T.gaussian_sample(mu_z, sig_z, rng) if sample else mu_z
 
         if decode:
-            mu_d, sig_d = self.decode_step(leaves, z, h, trace or recon_read)
+            mu_d, sig_d = self.dec_head(
+                leaves, self.dec_net(leaves, T.concat([z, h], 2)),
+                trace or recon_read)
             if self.variant.uses_theory:
                 theta_prop = T.mul(T.tanh(mu_d), np.pi)
                 recon_mu, recon_sig = theta_prop, sig_d
@@ -663,7 +645,7 @@ class CrnModel:
 
         if gv:
             g_mu_p, g_sig_p = self.g_pri_head(leaves, self.g_pri(leaves, h_g),
-                                              use_post or sample_latents)
+                                              use_post or sample)
             if use_post:
                 g_in = T.concat([T._lift(x_global[:, t + 1]), h_g], 1)
                 g_mu_q, g_sig_q = self.g_enc_head(
@@ -673,7 +655,7 @@ class CrnModel:
             else:
                 g_mu_z, g_sig_z = g_mu_p, g_sig_p
             z_g = (T.gaussian_sample(g_mu_z, g_sig_z, rng)
-                   if sample_latents else g_mu_z)
+                   if sample else g_mu_z)
             if decode:
                 g_mu_d, g_sig_d = self.g_dec_head(
                     leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)),
@@ -723,7 +705,7 @@ class CrnModel:
         else:
             nxt_sc = T.mul(x_loc_hat, row)
             nxt_g = x_g_hat
-        h = self.recurrence_step(leaves, nxt_sc, z, state.h)
+        h = self.rnn(leaves, T.concat([nxt_sc, z], 2), state.h)
         h_g = state.h_g
         if self.variant is ModelVariant.GV_CRN:
             h_g = self.g_rnn(leaves, T.concat([nxt_g, latent.z_g], 1), h_g)
@@ -770,7 +752,7 @@ def treatment_matrix(n: int, n_steps: int, arm: int | None) -> np.ndarray:
 
 def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                 arms: list[int] | None = None, mc_samples: int = 0,
-                seed: int = 0, chunk: int = 32, trace: bool = False):
+                seed: int = 0, chunk: int = 32):
     """Counterfactual outcome predictions for every intervention timing.
 
     Predicts one infer-mode rollout per arm in T_i plus a never-treated arm,
@@ -801,10 +783,10 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     unless mc_samples > 0 draws latents from the prior, so a deterministic
     call runs the mu halves only (see `CrnModel.latent`).
 
-    Returns a dict with y_final (n, A), tau_hat (n, A-1), best_timing (n,),
-    y_all (n, A, T) and a_all (n, A, T).  With trace=True it also holds the
-    covariate predictions of world steps burn..T-1: x_loc_hat
-    (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
+    Returns a dict with arms (the arms plus None for never-treated), y_final
+    (n, A), tau_hat (n, A-1), best_timing (n,), y_all (n, A, T), a_all
+    (n, A, T), and the covariate predictions of world steps burn..T-1:
+    x_loc_hat (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
     """
     cfg = model.cfg
     x_local, x_global = model._checked_inputs(x_local, x_global)
@@ -821,8 +803,8 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     y_all = np.zeros((n, n_arms, n_steps))
     a_all = np.zeros((n, n_arms, n_steps))
     n_dec = sum(model.decodes(t, "infer") for t in range(n_steps))
-    x_loc_all = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5)) if trace else None
-    x_g_all = np.zeros((n, n_arms, n_dec, 1)) if trace else None
+    x_loc_all = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5))
+    x_g_all = np.zeros((n, n_arms, n_dec, 1))
 
     def rng_for(key):
         return (Rng(derive_seed(seed, "ite-mc", key)) if mc_samples > 0
@@ -841,7 +823,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
             rng, outs = rng_for(key), []
             for t in range(s, n_steps):
                 state, so = model.step(leaves, state, t, xb, gb, a_seq,
-                                       "infer", rng, sample)
+                                       "infer", rng)
                 outs.append(so)
             return outs
 
@@ -852,35 +834,29 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                                 axis=1) / n_pass
             y_all[rows, ai] += stacked("y_hat")[:, :, 0]
             a_all[rows, ai] += stacked("a_prob")[:, :, 0]
-            if trace:
-                x_loc_all[rows, ai] += stacked("x_loc_hat")
-                x_g_all[rows, ai] += stacked("x_g_hat")
+            x_loc_all[rows, ai] += stacked("x_loc_hat")
+            x_g_all[rows, ai] += stacked("x_g_hat")
 
         never = treatment_matrix(b, n_steps, None)
         for p in range(n_pass):
             rng = rng_for(p * n_arms + n_arms - 1)
-            sample = model._sampling("infer", rng, mc_samples > 0)
             state, trunk = model.init_state(b), []
             for t in range(n_steps):
                 # arms starting at t fork here and finish the trunk's latent
                 # half of step t, so only one state and one latent are alive
-                latent = model.latent(leaves, state, t, xb, gb, "infer", rng,
-                                      sample)
+                latent = model.latent(leaves, state, t, xb, gb, "infer", rng)
                 for ai in [ai for ai, s in enumerate(arms) if s == t]:
                     a_seq = treatment_matrix(b, n_steps, t)
                     fork, so = model.step(leaves, state, t, xb, gb, a_seq,
-                                          "infer", rng, sample, latent=latent)
+                                          "infer", rng, latent=latent)
                     add(ai, trunk + [so] + tail(fork, t + 1, a_seq,
                                                 p * n_arms + ai))
                 state, so = model.step(leaves, state, t, xb, gb, never,
-                                       "infer", rng, sample, latent=latent)
+                                       "infer", rng, latent=latent)
                 trunk.append(so)
             add(n_arms - 1, trunk)
 
     tau_hat, best = final_effects(y_all, arms)
-    out = {"arms": all_arms, "y_final": y_all[:, :, -1], "tau_hat": tau_hat,
-           "best_timing": best, "y_all": y_all, "a_all": a_all}
-    if trace:
-        out["x_loc_hat"] = x_loc_all
-        out["x_g_hat"] = x_g_all
-    return out
+    return {"arms": all_arms, "y_final": y_all[:, :, -1], "tau_hat": tau_hat,
+            "best_timing": best, "y_all": y_all, "a_all": a_all,
+            "x_loc_hat": x_loc_all, "x_g_hat": x_g_all}

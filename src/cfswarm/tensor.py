@@ -42,15 +42,6 @@ class Tensor:
     def shape(self):
         return self.array.shape
 
-    @property
-    def size(self):
-        return self.array.size
-
-    @property
-    def data(self):
-        """Flat row-major view of the storage."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         if self.array.size != 1:
             raise DimensionError("item() requires a single-element tensor")
@@ -59,35 +50,6 @@ class Tensor:
     def __repr__(self):
         tag = "" if self.tape is None else f", node={self.node_id}"
         return f"Tensor(shape={self.shape}{tag})"
-
-    # arithmetic sugar; every path goes through the op functions below
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class Node:

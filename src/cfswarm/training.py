@@ -50,13 +50,12 @@ class TrainConfig:
 
 
 def _episode_loss(model: CrnModel, leaves, split: Split, idx, weights,
-                  mode: str, rng: Rng | None):
+                  rng: Rng | None):
     xb = split.x_local[idx].astype(np.float64)
     gb = split.x_global[idx].astype(np.float64)
     ab = split.treatment[idx].astype(np.float64)
     yb = split.outcome[idx].astype(np.float64)
-    roll = model.rollout(leaves, xb, gb, ab, mode, rng=rng,
-                         sample_latents=mode == "train" and rng is not None)
+    roll = model.rollout(leaves, xb, gb, ab, "train", rng=rng)
     return loss_total(roll, xb, gb, yb, ab, weights)
 
 
@@ -69,8 +68,7 @@ def validation_loss(model: CrnModel, store: ParamStore, split: Split,
         idx = np.arange(start, min(start + micro_batch, n))
         tape = T.Tape(record=False)
         leaves = store.bind(tape)
-        _, parts = _episode_loss(model, leaves, split, idx, weights,
-                                 "train", None)
+        _, parts = _episode_loss(model, leaves, split, idx, weights, None)
         for k in LOG_FIELDS:
             acc[k] += parts[k] * len(idx) / n
     return acc
@@ -138,7 +136,7 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
                 leaves = store.bind(tape)
                 rng = root.fork("latent", epoch * 1_000_003 + b_start + m_start)
                 total, parts = _episode_loss(model, leaves, train_split, idx,
-                                             cfg.weights, "train", rng)
+                                             cfg.weights, rng)
                 if not np.isfinite(parts["total"]):
                     raise NumericError(
                         f"training loss diverged at epoch {epoch}: {parts}")

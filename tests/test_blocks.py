@@ -130,12 +130,13 @@ def test_gru_matches_scalar_reference_trace():
 def test_gnn_zero_params_bias_image():
     block = GnnBlock("n", n_in=3, n_hidden=4, n_edge=4, n_out=2)
     store = zero_build(block)
-    out = block(dict(store.params), T.Tensor(Rng(0).uniform_array((5, 3))))
-    assert np.array_equal(out.array, np.zeros((5, 2)))
+    nodes = T.Tensor(Rng(0).uniform_array((5, 3))[None])
+    out = block(dict(store.params), nodes)
+    assert np.array_equal(out.array[0], np.zeros((5, 2)))
     # rows identical even with a nonzero f_v bias
     store.params["n.fv.b1"] = T.Tensor(np.array([0.7, -0.3]))
-    out = block(dict(store.params), T.Tensor(Rng(0).uniform_array((5, 3))))
-    assert np.allclose(out.array, np.tile([0.7, -0.3], (5, 1)))
+    out = block(dict(store.params), nodes)
+    assert np.allclose(out.array[0], np.tile([0.7, -0.3], (5, 1)))
 
 
 def test_gnn_matches_naive_pair_loop():
@@ -158,7 +159,7 @@ def test_gnn_matches_naive_pair_loop():
                         p["n.fe.w1"], p["n.fe.b1"])
         want[k] = mlp2(agg, p["n.fv.w0"], p["n.fv.b0"],
                        p["n.fv.w1"], p["n.fv.b1"])
-    got = block(dict(store.params), T.Tensor(nodes)).array
+    got = block(dict(store.params), T.Tensor(nodes[None])).array[0]
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -169,8 +170,9 @@ def test_gnn_permutation_equivariance():
     for trial in range(50):
         nodes = rng.uniform_array((6, 3), -1.0, 1.0)
         perm = Rng(1000 + trial).permutation(6)
-        base = block(dict(store.params), T.Tensor(nodes)).array
-        shuffled = block(dict(store.params), T.Tensor(nodes[perm])).array
+        base = block(dict(store.params), T.Tensor(nodes[None])).array[0]
+        shuffled = block(dict(store.params),
+                         T.Tensor(nodes[perm][None])).array[0]
         assert np.max(np.abs(shuffled - base[perm])) <= 1e-9
 
 
@@ -179,7 +181,7 @@ def test_gnn_single_node_sees_zero_messages():
     store = build(block, seed=2)
     p = {k: v.array for k, v in store.params.items()}
     node = Rng(3).uniform_array((1, 3))
-    got = block(dict(store.params), T.Tensor(node)).array
+    got = block(dict(store.params), T.Tensor(node[None])).array[0]
     want = np.tanh(np.zeros(4) @ p["n.fv.w0"] + p["n.fv.b0"]) \
         @ p["n.fv.w1"] + p["n.fv.b1"]
     assert np.max(np.abs(got[0] - want)) < 1e-12
@@ -191,8 +193,8 @@ def test_gnn_batched_equals_per_sample():
     batch = Rng(5).uniform_array((3, 4, 2), -1.0, 1.0)
     got = block(dict(store.params), T.Tensor(batch)).array
     for i in range(3):
-        single = block(dict(store.params), T.Tensor(batch[i])).array
-        assert np.max(np.abs(got[i] - single)) < 1e-12
+        single = block(dict(store.params), T.Tensor(batch[i:i + 1])).array
+        assert np.max(np.abs(got[i] - single[0])) < 1e-12
 
 
 def test_gnn_saves_one_pair_array_and_no_edge_tensor():
@@ -212,11 +214,22 @@ def test_flat_block_not_equivariant_but_shaped():
     block = FlatBlock("f", n_agents=3, n_in=2, n_hidden=8, n_out=2)
     store = build(block, seed=7)
     nodes = Rng(8).uniform_array((3, 2), -1.0, 1.0)
-    out = block(dict(store.params), T.Tensor(nodes)).array
+    out = block(dict(store.params), T.Tensor(nodes[None])).array[0]
     assert out.shape == (3, 2)
     perm = np.array([2, 0, 1])
-    swapped = block(dict(store.params), T.Tensor(nodes[perm])).array
+    swapped = block(dict(store.params), T.Tensor(nodes[perm][None])).array[0]
     assert not np.allclose(swapped, out[perm])
+
+
+@pytest.mark.parametrize("block", [
+    GnnBlock("n", n_in=2, n_hidden=4, n_edge=4, n_out=2),
+    FlatBlock("f", n_agents=3, n_in=2, n_hidden=8, n_out=2),
+], ids=["gnn", "flat"])
+@pytest.mark.parametrize("shape", [(3, 2), (1, 2, 3, 2)], ids=["2d", "4d"])
+def test_graph_blocks_take_batched_nodes_only(block, shape):
+    store = build(block, seed=9)
+    with pytest.raises(DimensionError):
+        block(dict(store.params), T.Tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ def test_load_config_weight_aliases(tmp_path):
     ("[train]\nalpha = True\n", "train.alpha must be a number"),
     ("[train]\nalpha = 1e400\n", "train.alpha must be finite"),
     ("[train]\nlr = 1e400\n", "train.lr must be finite"),
+    ("[model]\nhidden = 0\n", "widths must be at least 1: ['hidden']"),
+    ("[model]\nhidden = -2\n", "widths must be at least 1: ['hidden']"),
 ])
 def test_load_config_rejects(tmp_path, text, fragment):
     with pytest.raises(ConfigError) as err:
@@ -371,6 +373,24 @@ def test_eval_dump_v2_is_contract_error(eval_dir, tmp_path):
         read_eval_dump(tmp_path)
 
 
+@pytest.mark.parametrize("bad", ["oops", "'five'", "[1,"])
+def test_malformed_sim_metadata_is_config_error(pipeline, tmp_path, capsys,
+                                                bad):
+    arrays, meta = artifact.load(
+        pipeline["root"] / "dataset" / "dataset.npz", ())
+    meta["sim"]["n_agents"] = bad
+    artifact.save(tmp_path / "dataset.npz", arrays, meta)
+    with pytest.raises(ConfigError, match="sim.n_agents"):
+        load_dataset(str(tmp_path))
+    config = tmp_path / "run.ini"
+    config.write_text(Path(pipeline["config"]).read_text().replace(
+        str(pipeline["root"] / "dataset"), str(tmp_path)))
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eval_rejects_corrupt_checkpoint(pipeline, tmp_path, capsys):
     shutil.copy(pipeline["root"] / "train" / "last.npz", tmp_path / "bad.npz")
     corrupt(tmp_path / "bad.npz", "flipped", None)
@@ -492,3 +512,11 @@ def test_cli_module_entry_point(tmp_path):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate", "--config", "x.ini"])
+
+
+@pytest.mark.parametrize("command", ["gen", "train", "gradcheck", "sweep"])
+def test_checkpoint_flag_only_on_commands_that_load_one(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "x.ini", "--checkpoint", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --checkpoint" in capsys.readouterr().err

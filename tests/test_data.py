@@ -267,6 +267,11 @@ def test_sim_config_echo_round_trip():
     del partial["dt"]
     with pytest.raises(ConfigError):
         sim_config_from_echo(partial)
+    # parsed by the [sim] literal rules: never a bare ValueError,
+    # TypeError or SyntaxError
+    for bad in ("oops", "'five'", "[1,", "True", "2.5"):
+        with pytest.raises(ConfigError, match="n_agents"):
+            sim_config_from_echo({**cfg.echo(), "n_agents": bad})
 
 
 def test_full_scale_sizes_accepted():

@@ -1,4 +1,4 @@
-"""Model-layer tests: theory integrator, step composition, rollouts, ITE."""
+"""Model-layer tests: theory integrator, step pieces, rollouts, ITE."""
 
 import numpy as np
 import pytest
@@ -183,7 +183,7 @@ def test_free_run_theory_step_records_at_most_one_reshape():
     assert len(tape.nodes) - n_leaves <= 5
 
 
-# step composition oracles ---------------------------------------------------
+# step pieces ----------------------------------------------------------------
 
 
 def bound_model(variant, cfg, seed=0):
@@ -192,40 +192,6 @@ def bound_model(variant, cfg, seed=0):
     tape = T.Tape(record=False)
     leaves = store.bind(tape)
     return model, store, leaves
-
-
-def test_prior_step_composes_gnn_and_head():
-    cfg = small_cfg()
-    model, _, leaves = bound_model(ModelVariant.TGV_CRN, cfg)
-    rng = np.random.default_rng(1)
-    h = rng.normal(size=(2, cfg.n_agents, SMALL.hidden))
-    mu, sig = model.prior_step(leaves, T._lift(h))
-    feat = model.prior_net(leaves, T._lift(h))
-    mu2, sig2 = model.prior_head(leaves, feat)
-    assert np.array_equal(mu.array, mu2.array)
-    assert np.array_equal(sig.array, sig2.array)
-
-
-def test_encode_and_decode_steps_compose():
-    cfg = small_cfg()
-    model, _, leaves = bound_model(ModelVariant.TGV_CRN, cfg)
-    rng = np.random.default_rng(2)
-    b, k = 2, cfg.n_agents
-    h = rng.normal(size=(b, k, SMALL.hidden))
-    x_sc = rng.normal(size=(b, k, 5))
-    z = rng.normal(size=(b, k, SMALL.latent))
-
-    mu, sig = model.encode_step(leaves, x_sc, h)
-    inp = np.concatenate([x_sc, h], axis=2)
-    mu2, sig2 = model.enc_head(leaves, model.enc_net(leaves, T._lift(inp)))
-    assert np.array_equal(mu.array, mu2.array)
-    assert np.array_equal(sig.array, sig2.array)
-
-    mu, sig = model.decode_step(leaves, z, h)
-    inp = np.concatenate([z, h], axis=2)
-    mu2, sig2 = model.dec_head(leaves, model.dec_net(leaves, T._lift(inp)))
-    assert np.array_equal(mu.array, mu2.array)
-    assert np.array_equal(sig.array, sig2.array)
 
 
 def test_recurrence_with_zero_params_halves_state():
@@ -239,7 +205,7 @@ def test_recurrence_with_zero_params_halves_state():
     h = rng.normal(size=(b, k, SMALL.hidden))
     x_sc = rng.normal(size=(b, k, 5))
     z = rng.normal(size=(b, k, SMALL.latent))
-    h2 = model.recurrence_step(leaves, x_sc, z, h)
+    h2 = model.rnn(leaves, np.concatenate([x_sc, z], axis=2), h)
     assert np.allclose(h2.array, 0.5 * h, atol=1e-15)
 
 
@@ -300,12 +266,42 @@ def test_rollout_rejects_bad_shapes():
         model.rollout(leaves, x_local, x_global[:, :, 0], treatment, "infer")
 
 
-def test_rollout_train_needs_rng_when_sampling():
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_rollout_samples_exactly_when_given_an_rng(variant, monkeypatch):
+    # without an rng a rollout is the mean-latent rollout; with one, only a
+    # variational variant draws, and only it moves
     cfg = small_cfg()
-    model, _, leaves = bound_model(ModelVariant.TGV_CRN, cfg)
-    x_local, x_global, treatment = batch_from_sim(cfg, 1, seed=0)
-    with pytest.raises(ContractError):
-        model.rollout(leaves, x_local, x_global, treatment, "train")
+    model, store, _ = bound_model(variant, cfg, seed=1)
+    x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=0,
+                                                  intervention=6)
+    draws = []
+    sample = T.gaussian_sample
+
+    def run(mode, rng, draw=True):
+        def counted(mu, sigma, rng):
+            draws.append(None)
+            return sample(mu, sigma, rng) if draw else mu
+
+        monkeypatch.setattr(T, "gaussian_sample", counted)
+        roll = model.rollout(store.bind(T.Tape(record=False)), x_local,
+                             x_global, treatment, mode, rng=rng)
+        return [roll.stacked(name) for name in
+                ("y_hat", "a_prob", "x_loc_hat", "x_g_hat")] + [
+                    float(roll.kl_sum.array), float(roll.recon_sum.array)]
+
+    def same(a, b):
+        return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    for mode in ("train", "infer"):
+        draws.clear()
+        plain = run(mode, None)
+        assert draws == []
+        assert same(plain, run(mode, Rng(2), draw=False))
+        assert (len(draws) > 0) == variant.uses_encoder
+        draws.clear()
+        sampled = run(mode, Rng(2))
+        assert (len(draws) > 0) == variant.uses_encoder
+        assert same(plain, sampled) != variant.uses_encoder, mode
 
 
 def test_rollout_output_shapes():
@@ -340,9 +336,6 @@ def test_variant_gating_tg_skips_elbo():
     assert out.elbo_steps == 0
     assert out.g_kl_sum is None and out.g_recon_sum is None
     assert model.enc_net is None
-    with pytest.raises(ContractError):
-        model.encode_step(leaves, np.zeros((2, cfg.n_agents, 5)),
-                          np.zeros((2, cfg.n_agents, SMALL.hidden)))
 
 
 def test_variant_gating_tgv_accumulates_elbo():
@@ -544,14 +537,10 @@ def test_predict_ite_arm_layout():
                        out["y_final"][:, :-1] - out["y_final"][:, -1:],
                        atol=0)
     assert set(out["best_timing"]).issubset(set(arms))
-    assert "x_loc_hat" not in out
-    traced = predict_ite(model, store, x_local, x_global, chunk=2,
-                         trace=True)
     # covariate predictions of world steps burn..T-1 only
     n_free = cfg.n_steps - cfg.burn_in
-    assert traced["x_loc_hat"].shape == (3, n_arms, n_free,
-                                         cfg.n_agents, 5)
-    assert traced["x_g_hat"].shape == (3, n_arms, n_free, 1)
+    assert out["x_loc_hat"].shape == (3, n_arms, n_free, cfg.n_agents, 5)
+    assert out["x_g_hat"].shape == (3, n_arms, n_free, 1)
 
 
 def test_predict_ite_chunking_invariant():
@@ -660,7 +649,7 @@ def test_predict_ite_matches_per_arm_rollouts(variant):
     # the default window, an arm inside burn-in, unsorted duplicate arms
     for arms in (cfg.intervention_steps, [3], [11, 9, 9]):
         got = predict_ite(model, store, x_local, x_global, arms=arms,
-                          chunk=2, trace=True)
+                          chunk=2)
         ref = per_arm_reference(model, store, x_local, x_global, arms, 2)
         assert got["arms"] == list(arms) + [None]
         for key, val in ref.items():
@@ -674,7 +663,7 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
         x_local, x_global, _ = batch_from_sim(cfg, 3, seed=27)
         arms, n_pass, seed = [11, 3, 9], 2, 8
         got = predict_ite(model, store, x_local, x_global, arms=arms,
-                          mc_samples=n_pass, seed=seed, trace=True)
+                          mc_samples=n_pass, seed=seed)
         n_arms = len(arms) + 1
         # never-treated column: full sampled rollouts under that arm's keys
         acc = {"y_hat": 0.0, "a_prob": 0.0, "x_loc_hat": 0.0, "x_g_hat": 0.0}
@@ -683,8 +672,7 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
             rng = Rng(derive_seed(seed, "ite-mc", p * n_arms + n_arms - 1))
             roll = model.rollout(
                 leaves, x_local, x_global,
-                treatment_matrix(3, cfg.n_steps, None), "infer", rng=rng,
-                sample_latents=True)
+                treatment_matrix(3, cfg.n_steps, None), "infer", rng=rng)
             for name in acc:
                 acc[name] = acc[name] + roll.stacked(name) / n_pass
         assert np.array_equal(got["y_all"][:, -1], acc["y_hat"][:, :, 0])
@@ -775,7 +763,7 @@ def test_predict_ite_degenerate_worlds_stay_finite():
                 store = (zero_store(model) if x_local is worlds[-1][1]
                          else model.init_store(30))
                 out = predict_ite(model, store, x_local, x_global, chunk=1,
-                                  mc_samples=2, trace=True)
+                                  mc_samples=2)
                 for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
                     assert np.all(np.isfinite(out[key])), (variant, key)
                 assert np.all((out["y_all"] > 0.0) & (out["y_all"] < 1.0))
@@ -843,15 +831,14 @@ def test_skipped_decodes_change_no_output(variant, monkeypatch):
 
     def run():
         preds = [predict_ite(model, store, x_local, x_global, chunk=2,
-                             mc_samples=mc, seed=3, trace=True)
+                             mc_samples=mc, seed=3)
                  for mc in (0, 2)]
         losses = []
         for rng in (Rng(derive_seed(4, "decode")), None):
             tape = T.Tape()
             leaves = store.bind(tape)
             roll = model.rollout(leaves, x_local, x_global, treatment,
-                                 "train", rng=rng,
-                                 sample_latents=rng is not None)
+                                 "train", rng=rng)
             total, parts = loss_total(roll, x_local, x_global, outcome,
                                       treatment, LossWeights())
             T.backward(total)
@@ -981,15 +968,14 @@ def test_skipped_sigmas_change_no_output(variant, monkeypatch):
 
     def run():
         preds = [predict_ite(model, store, x_local, x_global, chunk=2,
-                             mc_samples=mc, seed=5, trace=trace)
-                 for mc in (0, 2) for trace in (False, True)]
+                             mc_samples=mc, seed=5)
+                 for mc in (0, 2)]
         losses = []
         for rng in (Rng(derive_seed(6, "sigma")), None):
             tape = T.Tape()
             leaves = store.bind(tape)
             roll = model.rollout(leaves, x_local, x_global, treatment,
-                                 "train", rng=rng,
-                                 sample_latents=rng is not None)
+                                 "train", rng=rng)
             total, parts = loss_total(roll, x_local, x_global, outcome,
                                       treatment, LossWeights())
             T.backward(total)
@@ -1044,7 +1030,7 @@ def test_traced_rollout_keeps_sigma_traces(mode, monkeypatch):
 
     def traces():
         roll = model.rollout(leaves, x_local, x_global, treatment, mode,
-                             sample_latents=False, trace=True)
+                             trace=True)
         return roll.traces
 
     got = traces()
