@@ -33,7 +33,8 @@ def load(path, names, fmt: str | None = None,
     With ``fmt``, the metadata's "format" must equal it (checked first, so
     a file of another format is named as such); each of ``meta_keys`` must
     be in the metadata.  Any failure (missing file, key or metadata key,
-    truncation, checksum mismatch, junk) is a ContractError naming the file.
+    truncation, checksum mismatch, junk, a NaN or inf in a float array) is a
+    ContractError naming the file.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -56,4 +57,8 @@ def load(path, names, fmt: str | None = None,
     missing = [key for key in meta_keys if key not in meta]
     if missing:
         raise ContractError(f"artifact {str(path)!r} lacks metadata {missing}")
+    bad = [key for key, arr in arrays.items()
+           if arr.dtype.kind == "f" and not np.isfinite(arr).all()]
+    if bad:
+        raise ContractError(f"artifact {str(path)!r}: {bad} hold NaN or inf")
     return arrays, meta

@@ -26,7 +26,9 @@ from .model import (CrnModel, ModelDims, ModelVariant, group_spin,
 from .optim import ParamStore
 from .rng import Rng, derive_seed
 
-DEFAULT_H = 1e-5
+FD_STEP, FD_FLOOR = 1e-5, 1e-8   # central-difference step, error floor
+E2E_PROBES = 3                    # probed entries per parameter end to end
+OP_TOL, E2E_TOL = 1e-4, 1e-3      # gates on op/block and end-to-end errors
 
 
 @contextmanager
@@ -49,38 +51,47 @@ def grl_bypass():
         yield
 
 
-def fd_check(fn, arrays, h: float = DEFAULT_H, floor: float = 1e-8) -> float:
+def fd_check(fn, arrays, probes=None) -> float:
     """Worst relative error between backward and central differences.
 
     fn maps a list of tape tensors (one per input array) to a scalar tensor.
-    Every entry of every input is probed.
+    probes lists, per input, the flat indices to probe; None probes every
+    entry of every input.
     """
     arrays = [np.asarray(a, dtype=np.float64).copy() for a in arrays]
+    tape = T.Tape()
+    leaves = [tape.watch(a) for a in arrays]
+    T.backward(fn(leaves))
+    grads = [tape.grad(leaf) for leaf in leaves]
 
     def value():
         tape = T.Tape()
-        leaves = [tape.watch(a) for a in arrays]
-        out = fn(leaves)
-        return tape, leaves, out
+        return float(fn([tape.watch(a) for a in arrays]).array)
 
-    tape, leaves, out = value()
-    T.backward(out)
-    grads = [tape.grad(leaf) for leaf in leaves]
+    if probes is None:
+        probes = [range(arr.size) for arr in arrays]
     worst = 0.0
-    for a_i, arr in enumerate(arrays):
+    for arr, grad, idxs in zip(arrays, grads, probes):
         flat = arr.ravel()
-        for i in range(flat.size):
+        for i in idxs:
             orig = flat[i]
-            flat[i] = orig + h
-            _, _, plus = value()
-            flat[i] = orig - h
-            _, _, minus = value()
+            flat[i] = orig + FD_STEP
+            plus = value()
+            flat[i] = orig - FD_STEP
+            minus = value()
             flat[i] = orig
-            fd = (float(plus.array) - float(minus.array)) / (2.0 * h)
-            an = grads[a_i].ravel()[i]
-            rel = abs(fd - an) / max(floor, abs(fd), abs(an))
-            worst = max(worst, rel)
+            fd = (plus - minus) / (2.0 * FD_STEP)
+            an = grad.ravel()[i]
+            worst = max(worst, abs(fd - an) / max(FD_FLOOR, abs(fd), abs(an)))
     return worst
+
+
+def _fd_check_params(store: ParamStore, build, probes=None) -> float:
+    """`fd_check` over every parameter of store, in store order; build maps
+    the name -> leaf dict to a scalar tensor."""
+    names = list(store.params)
+    return fd_check(lambda leaves: build(dict(zip(names, leaves))),
+                    [store.params[n].array for n in names], probes)
 
 
 def _weighted(out, seed=0):
@@ -225,13 +236,7 @@ def check_blocks() -> dict[str, float]:
     def check(block, build):
         store = ParamStore()
         block.register(store, rng)
-        names = list(store.params)
-        arrays = [store.params[n].array for n in names]
-
-        def fn(leaves):
-            lv = dict(zip(names, leaves))
-            return build(lv)
-        return fd_check(fn, arrays)
+        return _fd_check_params(store, build)
 
     mlp = Mlp("m", [4, 6, 2])
     x = g.normal(size=(3, 4))
@@ -263,47 +268,27 @@ def tiny_world():
     return cfg, ds, dims
 
 
-def check_end_to_end(variant: ModelVariant = ModelVariant.TGV_CRN,
-                     probes_per_param: int = 3, h: float = DEFAULT_H) -> float:
-    """Worst FD relative error of the full training loss on a tiny world."""
+def check_end_to_end(variant: ModelVariant = ModelVariant.TGV_CRN) -> float:
+    """Worst FD relative error of the full training loss on a tiny world,
+    probing E2E_PROBES entries per parameter drawn in store order."""
     cfg, ds, dims = tiny_world()
     xb, gb = ds.train.x_local, ds.train.x_global
     ab = ds.train.treatment.astype(np.float64)
     yb = ds.train.outcome
-    weights = LossWeights()
     model = CrnModel(variant, cfg, dims)
     store = model.init_store(1)
+    pick = np.random.default_rng(0)
+    sizes = [p.array.size for p in store.params.values()]
+    probes = [pick.choice(n, size=min(E2E_PROBES, n), replace=False)
+              for n in sizes]
 
-    def full_loss():
-        tape = T.Tape()
-        leaves = store.bind(tape)
-        rng = Rng(derive_seed(11, "e2e"))
-        roll = model.rollout(leaves, xb, gb, ab, "train", rng=rng)
-        total, _ = loss_total(roll, xb, gb, yb, ab, weights)
-        return tape, total
+    def full_loss(leaves):
+        roll = model.rollout(leaves, xb, gb, ab, "train",
+                             rng=Rng(derive_seed(11, "e2e")))
+        return loss_total(roll, xb, gb, yb, ab, LossWeights())[0]
 
     with grl_bypass():
-        tape, total = full_loss()
-        T.backward(total)
-        grads = store.gradients()
-        pick = np.random.default_rng(0)
-        worst = 0.0
-        for name, p in store.params.items():
-            flat = p.array.ravel()
-            idxs = pick.choice(flat.size,
-                               size=min(probes_per_param, flat.size),
-                               replace=False)
-            for i in idxs:
-                orig = flat[i]
-                flat[i] = orig + h
-                _, plus = full_loss()
-                flat[i] = orig - h
-                _, minus = full_loss()
-                flat[i] = orig
-                fd = (float(plus.array) - float(minus.array)) / (2.0 * h)
-                an = grads[name].ravel()[i]
-                worst = max(worst, abs(fd - an) / max(1e-8, abs(fd), abs(an)))
-    return worst
+        return _fd_check_params(store, full_loss, probes)
 
 
 def grl_sign_report(n_draws: int = 10) -> dict[str, bool]:
@@ -343,15 +328,14 @@ def grl_sign_report(n_draws: int = 10) -> dict[str, bool]:
     return {"upstream_sign_flipped": ok_flip, "classifier_identical": ok_same}
 
 
-def run_gradcheck(op_tol: float = 1e-4, e2e_tol: float = 1e-3,
-                  variants=(ModelVariant.TGV_CRN,)) -> dict:
+def run_gradcheck(variants=(ModelVariant.TGV_CRN,)) -> dict:
     """Full suite for the CLI: op table, blocks, end-to-end, reversal."""
     ops = check_ops()
     blocks = check_blocks()
     e2e = {v.value: check_end_to_end(v) for v in variants}
     grl = grl_sign_report()
-    passed = (max(ops.values()) < op_tol and max(blocks.values()) < op_tol
-              and max(e2e.values()) < e2e_tol and all(grl.values()))
+    passed = (max(ops.values()) < OP_TOL and max(blocks.values()) < OP_TOL
+              and max(e2e.values()) < E2E_TOL and all(grl.values()))
     return {"ops": ops, "blocks": blocks, "end_to_end": e2e,
             "grl": grl, "passed": passed,
-            "tolerances": {"ops": op_tol, "end_to_end": e2e_tol}}
+            "tolerances": {"ops": OP_TOL, "end_to_end": E2E_TOL}}

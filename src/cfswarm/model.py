@@ -20,7 +20,7 @@ or swap GNNs for flat MLPs; plus a plain GRU baseline with none of the
 structure.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -91,10 +91,6 @@ class RolloutOutput:
     in infer mode (entry j predicts step burn+j).  kl_sum and recon_sum are
     sums over batch, agents and dims, accumulated over elbo_steps burn-in
     steps (divide by batch_size * elbo_steps for the per-episode-step loss).
-    The mu_dec and sigma_dec traces follow x_loc_hat's steps and hold the
-    reconstruction mean and scale in target space (turn angle for theory
-    variants, scaled covariates otherwise); the other traces have one entry
-    per step.
     """
 
     y_hat: list
@@ -108,7 +104,6 @@ class RolloutOutput:
     g_recon_sum: object = None
     batch_size: int = 0
     elbo_steps: int = 0
-    traces: dict = field(default_factory=dict)
 
     def stacked(self, name: str) -> np.ndarray:
         """Detach one per-step list into (B, len, ...) float64."""
@@ -141,8 +136,8 @@ class RolloutState:
 @dataclass
 class StepOutput:
     """One step's predictions, as in RolloutOutput's per-step lists, plus
-    its ELBO terms (None where the step adds none) and latent traces.
-    x_loc_hat and x_g_hat are None on a step that decodes no covariates."""
+    its ELBO terms (None where the step adds none).  x_loc_hat and x_g_hat
+    are None on a step that decodes no covariates."""
 
     y_hat: object
     a_prob: object
@@ -153,7 +148,6 @@ class StepOutput:
     recon: object = None
     g_kl: object = None
     g_recon: object = None
-    traces: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -176,10 +170,6 @@ class StepLatent:
     z_g: object
     theta_prop: object
     out: StepOutput
-
-
-_TRACE_KEYS = ("mu_pri", "sigma_pri", "mu_enc", "sigma_enc", "mu_dec",
-               "sigma_dec")
 
 
 def scale_row(cfg: SimConfig) -> np.ndarray:
@@ -500,7 +490,7 @@ class CrnModel:
         return x_local, x_global
 
     def rollout(self, leaves, x_local, x_global, treatment, mode: str,
-                rng: Rng | None = None, trace: bool = False) -> RolloutOutput:
+                rng: Rng | None = None) -> RolloutOutput:
         """Run one batched episode rollout: `init_state`, then `step` per t.
 
         x_local (B, T, K, 5) and x_global (B, T, 1) are raw observed
@@ -510,8 +500,7 @@ class CrnModel:
         KL + reconstruction terms; mode "infer" uses the prior throughout.
         Latents are drawn from rng when one is given and the variant is
         variational (`uses_encoder`); otherwise they sit at their means.
-        The covariate predictions cover the steps that `decodes`, and
-        trace=True keeps the latent and decoder means and scales.
+        The covariate predictions cover the steps that `decodes`.
         """
         if mode not in ("train", "infer"):
             raise ContractError(f"unknown rollout mode {mode!r}")
@@ -526,34 +515,27 @@ class CrnModel:
                             T._lift(0.0) if gv else None,
                             T._lift(0.0) if gv else None,
                             batch_size=b, elbo_steps=0)
-        if trace:
-            out.traces = {key: [] for key in _TRACE_KEYS}
         state = self.init_state(b)
         for t in range(n_steps):
             state, so = self.step(leaves, state, t, x_local, x_global,
-                                  treatment, mode, rng, trace)
+                                  treatment, mode, rng)
             out.y_hat.append(so.y_hat)
             out.a_prob.append(so.a_prob)
             out.a_logits.append(so.a_logits)
             if so.x_loc_hat is not None:
                 out.x_loc_hat.append(so.x_loc_hat)
                 out.x_g_hat.append(so.x_g_hat)
-            if so.kl is not None:
-                out.kl_sum = T.add(out.kl_sum, so.kl)
-            if so.recon is not None:
-                out.recon_sum = T.add(out.recon_sum, so.recon)
-                out.elbo_steps += 1
-            if so.g_kl is not None:
-                out.g_kl_sum = T.add(out.g_kl_sum, so.g_kl)
-            if so.g_recon is not None:
-                out.g_recon_sum = T.add(out.g_recon_sum, so.g_recon)
-            for key, val in so.traces.items():
-                out.traces[key].append(val)
+            for name in ("kl", "recon", "g_kl", "g_recon"):
+                term = getattr(so, name)
+                if term is not None:
+                    total = getattr(out, name + "_sum")
+                    setattr(out, name + "_sum", T.add(total, term))
+            out.elbo_steps += so.recon is not None
         return out
 
     def step(self, leaves, state: RolloutState, t: int, x_local, x_global,
              treatment, mode: str, rng: Rng | None = None,
-             trace: bool = False, latent: StepLatent | None = None):
+             latent: StepLatent | None = None):
         """Advance a rollout through step t; returns (next state, StepOutput).
 
         Arguments are those of `rollout`, already checked; the step samples
@@ -561,47 +543,46 @@ class CrnModel:
         covariates only at burn-in steps (and x[t+1] for train-mode
         posteriors and targets) and treatment only at column t, so rollouts
         whose treatments agree before s pass the same state into step s;
-        states are never mutated, so such rollouts can share it.  The next state is None after the last step.
+        states are never mutated, so such rollouts can share it.  The next
+        state is None after the last step.
 
         Except in rnn_baseline, whose GRU reads the treatment, a step is
         `latent` (treatment-free) followed by `advance`.  Rollouts sharing a
         state can share step t's latent half too: pass the one `latent`
-        returned for that state, rng and trace.
+        returned for that state and rng.
         """
         if self.variant is ModelVariant.RNN_BASELINE:
             return self._baseline_step(leaves, state, t, x_local, x_global,
                                        treatment, mode)
         if latent is None:
-            latent = self.latent(leaves, state, t, x_local, x_global, mode,
-                                 rng, trace)
+            latent = self.latent(leaves, state, t, x_local, x_global, mode, rng)
         return self.advance(leaves, latent, t, x_local, x_global, treatment)
 
     def latent(self, leaves, state: RolloutState, t: int, x_local, x_global,
-               mode: str, rng: Rng | None = None,
-               trace: bool = False) -> StepLatent | None:
-        """Step t's treatment-free half: prior (or posterior) -> z ->
-        decoder -> proposal, the treatment head, and the ELBO terms.  The
-        decoder runs only where `decodes(t, mode)`.  z is drawn from rng
-        when one is given and the variant `uses_encoder`, else it is the
-        mean.
+               mode: str, rng: Rng | None = None) -> StepLatent | None:
+        """Step t's treatment-free half: each VRNN branch's latent (`_draw`)
+        -> decoder -> proposal, the treatment head, and the ELBO terms.  The
+        decoders run only where `decodes(t, mode)`.  Train mode's burn-in
+        takes the posterior.  z is drawn from rng when one is given and the
+        variant `uses_encoder`, else it is the mean.
 
         A Gaussian head computes its sigma only where something reads it: a
-        KL term, a sampled draw, a reconstruction NLL or the trace.  So a
-        deterministic infer step runs no sigma half, and mu, z and every
-        output are bitwise those of a step that computes them all.
+        KL term, a draw or a reconstruction NLL.  So a deterministic infer
+        step runs no sigma half, and mu, z and every output are bitwise
+        those of a step that computes them all.
 
         Arguments are those of `step`.  Returns None for rnn_baseline, which
         has no such half.
         """
-        if self.variant is ModelVariant.RNN_BASELINE:
+        v = self.variant
+        if v is ModelVariant.RNN_BASELINE:
             return None
         cfg = self.cfg
         burn, row = cfg.burn_in, self._row
-        gv = self.variant is ModelVariant.GV_CRN
         h, h_g = state.h, state.h_g
         if t < burn:
             pos = head = None
-            if self.variant.uses_theory:
+            if v.uses_theory:
                 pos, head = _split_state(T._lift(x_local[:, t]), cfg)
             state = RolloutState(h, h_g, None, T._lift(x_global[:, t]), pos,
                                  head)
@@ -609,75 +590,63 @@ class CrnModel:
         decode = self.decodes(t, mode)
         if train_burn and not decode:
             raise ContractError("burn-in reconstruction needs x[t+1]")
-        kl = recon = g_kl = g_recon = z_g = x_g_hat = None
-        theta_prop = x_loc_hat = None
-        sample = rng is not None and self.variant.uses_encoder
-        use_post = train_burn and self.enc_net is not None
-        recon_read = train_burn and self.variant is not ModelVariant.TG_CRN
+        rng = rng if v.uses_encoder else None
+        post = train_burn and v.uses_encoder
+        recon = g_kl = g_recon = z_g = x_g_hat = theta_prop = x_loc_hat = None
+        recon_read = train_burn and v is not ModelVariant.TG_CRN
 
-        mu_p, sig_p = self.prior_head(leaves, self.prior_net(leaves, h),
-                                      trace or use_post or sample)
-        if use_post:
-            x_next_sc = T._lift(x_local[:, t + 1] * row)
-            mu_q, sig_q = self.enc_head(
-                leaves, self.enc_net(leaves, T.concat([x_next_sc, h], 2)))
-            kl = T.kl_diag_gauss(mu_q, sig_q, mu_p, sig_p)
-            mu_z, sig_z = mu_q, sig_q
-        else:
-            mu_z, sig_z = mu_p, sig_p
-        z = T.gaussian_sample(mu_z, sig_z, rng) if sample else mu_z
-
+        z, kl = self._draw(
+            leaves, (self.prior_net, self.prior_head, self.enc_net,
+                     self.enc_head),
+            h, x_local[:, t + 1] * row if post else None, 2, rng)
         if decode:
             mu_d, sig_d = self.dec_head(
-                leaves, self.dec_net(leaves, T.concat([z, h], 2)),
-                trace or recon_read)
-            if self.variant.uses_theory:
-                theta_prop = T.mul(T.tanh(mu_d), np.pi)
-                recon_mu, recon_sig = theta_prop, sig_d
+                leaves, self.dec_net(leaves, T.concat([z, h], 2)), recon_read)
+            if v.uses_theory:   # the NLL reads the squashed turn angle
+                theta_prop = mu_d = T.mul(T.tanh(mu_d), np.pi)
             else:
                 x_loc_hat = T.mul(mu_d, 1.0 / row)
-                recon_mu, recon_sig = mu_d, sig_d
             if recon_read:
-                recon_target = (x_local[:, t + 1, :, 4:5]
-                                if self.variant.uses_theory
-                                else x_local[:, t + 1] * row)
-                recon = T.gaussian_nll(recon_mu, recon_sig, recon_target)
+                recon = T.gaussian_nll(mu_d, sig_d, x_local[:, t + 1, :, 4:5]
+                                       if v.uses_theory
+                                       else x_local[:, t + 1] * row)
 
-        if gv:
-            g_mu_p, g_sig_p = self.g_pri_head(leaves, self.g_pri(leaves, h_g),
-                                              use_post or sample)
-            if use_post:
-                g_in = T.concat([T._lift(x_global[:, t + 1]), h_g], 1)
-                g_mu_q, g_sig_q = self.g_enc_head(
-                    leaves, self.g_enc(leaves, g_in))
-                g_kl = T.kl_diag_gauss(g_mu_q, g_sig_q, g_mu_p, g_sig_p)
-                g_mu_z, g_sig_z = g_mu_q, g_sig_q
-            else:
-                g_mu_z, g_sig_z = g_mu_p, g_sig_p
-            z_g = (T.gaussian_sample(g_mu_z, g_sig_z, rng)
-                   if sample else g_mu_z)
+        if v is ModelVariant.GV_CRN:
+            z_g, g_kl = self._draw(
+                leaves, (self.g_pri, self.g_pri_head, self.g_enc,
+                         self.g_enc_head),
+                h_g, x_global[:, t + 1] if post else None, 1, rng)
             if decode:
-                g_mu_d, g_sig_d = self.g_dec_head(
+                x_g_hat, g_sig_d = self.g_dec_head(
                     leaves, self.g_dec(leaves, T.concat([z_g, h_g], 1)),
                     train_burn)
-                x_g_hat = g_mu_d
                 if train_burn:
-                    g_recon = T.gaussian_nll(g_mu_d, g_sig_d,
+                    g_recon = T.gaussian_nll(x_g_hat, g_sig_d,
                                              x_global[:, t + 1])
 
         a_prob, a_logit = treatment_head(
             self.mlp_a, leaves, _pool(z, cfg.n_agents))
-        traces = {}
-        if trace:
-            pairs = {"mu_pri": mu_p, "sigma_pri": sig_p}
-            if decode:
-                pairs["mu_dec"], pairs["sigma_dec"] = recon_mu, recon_sig
-            if use_post:
-                pairs["mu_enc"], pairs["sigma_enc"] = mu_q, sig_q
-            traces = {key: val.array.copy() for key, val in pairs.items()}
         so = StepOutput(None, a_prob, a_logit, x_loc_hat, x_g_hat,
-                        kl, recon, g_kl, g_recon, traces)
+                        kl, recon, g_kl, g_recon)
         return StepLatent(state, z, z_g, theta_prop, so)
+
+    @staticmethod
+    def _draw(leaves, nets, h, x_next, axis, rng):
+        """One VRNN branch's latent (z, kl), from nets = (prior net, prior
+        head, encoder net, encoder head).  Given the observation x_next at
+        t+1, z comes from the posterior on concat([x_next, h], axis) and kl
+        is its KL to the prior; with x_next None, from the prior (kl None).
+        z is drawn from rng when one is given, else it is the mean."""
+        prior_net, prior_head, enc_net, enc_head = nets
+        mu, sig = prior_head(leaves, prior_net(leaves, h),
+                             x_next is not None or rng is not None)
+        kl = None
+        if x_next is not None:
+            mu_q, sig_q = enc_head(leaves, enc_net(
+                leaves, T.concat([T._lift(x_next), h], axis)))
+            kl = T.kl_diag_gauss(mu_q, sig_q, mu, sig)
+            mu, sig = mu_q, sig_q
+        return (T.gaussian_sample(mu, sig, rng) if rng is not None else mu), kl
 
     def advance(self, leaves, latent: StepLatent, t: int, x_local,
                 x_global, treatment):
@@ -757,8 +726,11 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
     Predicts one infer-mode rollout per arm in T_i plus a never-treated arm,
     deterministic (latents at the prior mean) unless mc_samples > 0, in which
-    case that many sampled rollouts are averaged.  Only the burn-in prefix of
-    x_local/x_global is consumed, so any arm's factual trajectory works.
+    case that many sampled rollouts are averaged.  A variant that draws
+    nothing (not `uses_encoder`) runs one pass whatever mc_samples says.
+    Only the burn-in prefix of x_local/x_global is consumed, so any arm's
+    factual trajectory works.  mc_samples < 0 and chunk < 1 are
+    ContractError.
 
     Treatment is absorbing and step t reads only treatment[:, :t+1], so an
     arm starting at s is the never-treated arm until step s.  Per chunk the
@@ -789,6 +761,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     x_loc_hat (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
     """
     cfg = model.cfg
+    if mc_samples < 0 or chunk < 1:
+        raise ContractError(f"predict_ite needs mc_samples >= 0 and chunk "
+                            f">= 1, got {mc_samples} and {chunk}")
     x_local, x_global = model._checked_inputs(x_local, x_global)
     n, n_steps = x_local.shape[0], x_local.shape[1]
     arms = list(cfg.intervention_steps if arms is None else arms)
@@ -805,6 +780,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     n_dec = sum(model.decodes(t, "infer") for t in range(n_steps))
     x_loc_all = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5))
     x_g_all = np.zeros((n, n_arms, n_dec, 1))
+
+    if not model.variant.uses_encoder:
+        mc_samples = 0   # nothing to draw: every pass would be the same
 
     def rng_for(key):
         return (Rng(derive_seed(seed, "ite-mc", key)) if mc_samples > 0

@@ -301,6 +301,8 @@ def corrupt(path, how, drop):
                          + data[pos + 1:])
     elif how == "junk":
         path.write_bytes(bytes(range(256)) * 4)
+    elif how in ("nan", "inf"):
+        poison(path, drop[0], float(how))
     else:
         # "missing" drops the array drop[0] names, "meta" the metadata key
         # drop[1] names
@@ -310,6 +312,15 @@ def corrupt(path, how, drop):
         else:
             del meta[drop[1]]
         artifact.save(path, arrays, meta)
+
+
+def poison(path, name, value, index=None):
+    """Set one entry (the middle one by default) of the float array `name`
+    to value, in place."""
+    arrays, meta = artifact.load(path, ())
+    arr = arrays[name] = arrays[name].copy()
+    arr.flat[arr.size // 2 if index is None else index] = value
+    artifact.save(path, arrays, meta)
 
 
 ARTIFACTS = {
@@ -325,7 +336,7 @@ ARTIFACTS = {
 
 
 @pytest.mark.parametrize("how", ["truncated", "flipped", "junk", "missing",
-                                 "meta"])
+                                 "meta", "nan", "inf"])
 @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
 def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
                                             kind, how):
@@ -336,6 +347,49 @@ def test_corrupt_artifact_is_contract_error(pipeline, eval_dir, tmp_path,
     corrupt(tmp_path / name, how, drop)
     with pytest.raises(ContractError):
         loader(tmp_path)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("dataset", "cf_x_local"), ("dataset", "train_x_local"),
+    ("checkpoint", "param"), ("checkpoint", "adam_m"),
+    ("checkpoint", "adam_v")])
+def test_nonfinite_array_is_named_at_load(pipeline, tmp_path, kind, name):
+    sub, file, loader, _ = ARTIFACTS[kind]
+    for value in (np.nan, -np.inf):
+        shutil.copy(pipeline["root"] / sub / file, tmp_path / file)
+        poison(tmp_path / file, name, value)
+        with pytest.raises(ContractError, match=f"{file}.*{name}.*NaN or inf"):
+            loader(tmp_path)
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("eval", "cf_x_local"), ("eval", "prior.fe.w0"),
+    ("train", "train_x_local")])
+def test_nonfinite_input_stops_command(pipeline, tmp_path, capsys, command,
+                                       bad):
+    # unchecked, eval exits 0 with NaN metrics and train blames divergence
+    root = pipeline["root"]
+    shutil.copy(root / "dataset" / "dataset.npz", tmp_path / "dataset.npz")
+    shutil.copy(root / "train" / "last.npz", tmp_path / "ckpt.npz")
+    if bad == "prior.fe.w0":
+        # the packed parameters hold each parameter raveled in store order
+        params = load_checkpoint(str(tmp_path / "ckpt")).params
+        sizes = [t.array.size for t in params.values()]
+        poison(tmp_path / "ckpt.npz", "param", np.inf,
+               sum(sizes[:list(params).index(bad)]))
+    else:
+        poison(tmp_path / "dataset.npz", bad, np.nan)
+    config = tmp_path / "run.ini"
+    config.write_text(Path(pipeline["config"]).read_text().replace(
+        str(root / "dataset"), str(tmp_path)))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "ckpt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "NaN or inf" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 REQUIRED_META = {

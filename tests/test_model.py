@@ -365,6 +365,26 @@ def test_variant_gating_gv_runs_global_branch():
     assert quiet.elbo_steps == 0
 
 
+def test_gv_draws_agents_then_global_latent_each_step(monkeypatch):
+    # both branches draw from one rng, the agents' latent first
+    cfg = small_cfg()
+    model, _, leaves = bound_model(ModelVariant.GV_CRN, cfg)
+    x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=3)
+    shapes = []
+    sample = T.gaussian_sample
+
+    def recorded(mu, sigma, rng):
+        shapes.append(mu.array.shape)
+        return sample(mu, sigma, rng)
+
+    monkeypatch.setattr(T, "gaussian_sample", recorded)
+    for mode in ("train", "infer"):
+        shapes.clear()
+        model.rollout(leaves, x_local, x_global, treatment, mode, rng=Rng(1))
+        assert shapes == [(2, cfg.n_agents, SMALL.latent),
+                          (2, SMALL.g_latent)] * cfg.n_steps, mode
+
+
 def test_rollout_deterministic_given_seed():
     cfg = small_cfg()
     model, store, _ = bound_model(ModelVariant.TGV_CRN, cfg)
@@ -398,41 +418,67 @@ def test_identical_episodes_share_weights_in_batch():
     assert np.array_equal(xh[0], xh[1])
 
 
-def test_trace_recon_recomputes_offline():
+def recorded_heads(monkeypatch):
+    """Record every Gaussian head's (mu, sigma) arrays by head name, in call
+    order; sigma is None where the head skipped it."""
+    calls = {}
+    forward = GaussianHead.forward
+
+    def recorded(head, leaves, x, with_sigma=True):
+        mu, sig = forward(head, leaves, x, with_sigma)
+        calls.setdefault(head.name, []).append(
+            (mu.array.copy(), None if sig is None else sig.array.copy()))
+        return mu, sig
+
+    monkeypatch.setattr(GaussianHead, "forward", recorded)
+    monkeypatch.setattr(GaussianHead, "__call__", recorded)
+    return calls
+
+
+def test_trace_recon_recomputes_offline(monkeypatch):
     cfg = small_cfg()
     model, _, leaves = bound_model(ModelVariant.TGV_CRN, cfg)
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=6)
+    heads = recorded_heads(monkeypatch)
     out = model.rollout(leaves, x_local, x_global, treatment, "train",
-                        rng=Rng(2), trace=True)
-    assert len(out.traces["mu_pri"]) == cfg.n_steps
-    assert len(out.traces["mu_dec"]) == cfg.n_steps - 1
-    assert len(out.traces["mu_enc"]) == cfg.burn_in
+                        rng=Rng(2))
+    assert len(heads["prior.gauss"]) == cfg.n_steps
+    assert len(heads["dec.gauss"]) == cfg.n_steps - 1
+    assert len(heads["enc.gauss"]) == cfg.burn_in
     nll = 0.0
     for t in range(cfg.burn_in):
-        mu = out.traces["mu_dec"][t]
-        sig = out.traces["sigma_dec"][t]
+        mu_d, sig = heads["dec.gauss"][t]
+        mu = np.pi * np.tanh(mu_d)   # the theory decoder's proposal
         target = x_local[:, t + 1, :, 4:5]
         resid = 0.5 * ((target - mu) / sig) ** 2
         nll += float(np.sum(resid + np.log(sig) + 0.5 * np.log(2 * np.pi)))
     assert abs(nll - float(out.recon_sum.array)) < 1e-9 * max(1.0, abs(nll))
     kl = 0.0
     for t in range(cfg.burn_in):
-        mu_q, sig_q = out.traces["mu_enc"][t], out.traces["sigma_enc"][t]
-        mu_p, sig_p = out.traces["mu_pri"][t], out.traces["sigma_pri"][t]
+        mu_q, sig_q = heads["enc.gauss"][t]
+        mu_p, sig_p = heads["prior.gauss"][t]
         kl += float(np.sum(np.log(sig_p / sig_q)
                            + (sig_q ** 2 + (mu_q - mu_p) ** 2)
                            / (2.0 * sig_p ** 2) - 0.5))
     assert abs(kl - float(out.kl_sum.array)) < 1e-9 * max(1.0, abs(kl))
 
 
-def test_theory_proposal_trace_is_squashed():
+def test_theory_proposal_trace_is_squashed(monkeypatch):
     cfg = small_cfg()
     model, _, leaves = bound_model(ModelVariant.TGV_CRN, cfg)
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=8)
-    out = model.rollout(leaves, x_local, x_global, treatment, "infer",
-                        trace=True)
-    for mu in out.traces["mu_dec"]:
-        assert np.max(np.abs(mu)) <= np.pi
+    proposals = []
+    step = model_module.theory_step
+
+    def recorded(theta_prop, *args):
+        proposals.append(theta_prop.array.copy())
+        return step(theta_prop, *args)
+
+    monkeypatch.setattr(model_module, "theory_step", recorded)
+    out = model.rollout(leaves, x_local, x_global, treatment, "infer")
+    assert len(proposals) == cfg.n_steps - cfg.burn_in
+    for theta in proposals:
+        assert np.max(np.abs(theta)) <= np.pi
     # predicted headings stay unit rows and the turn stays inside the limit
     xh = out.stacked("x_loc_hat")
     norms = np.sqrt((xh[..., 2:4] ** 2).sum(axis=3)) / cfg.speed
@@ -606,6 +652,47 @@ def test_predict_ite_rejects_bad_arms_before_any_step():
     for arms in ([], [cfg.n_steps], [-1], [5, cfg.n_steps + 3]):
         with pytest.raises(ContractError):
             predict_ite(model, store, x_local, x_global, arms=arms)
+
+
+@pytest.mark.parametrize("kwargs", [{"chunk": 0}, {"chunk": -2},
+                                    {"mc_samples": -1}])
+def test_predict_ite_rejects_bad_counts(kwargs):
+    # unchecked, chunk = 0 fails inside range() and mc_samples = -1 runs
+    # deterministically
+    cfg = small_cfg()
+    model, store, _ = bound_model(ModelVariant.TGV_CRN, cfg, seed=25)
+    x_local, x_global, _ = batch_from_sim(cfg, 2, seed=25)
+    with pytest.raises(ContractError, match="mc_samples >= 0 and chunk >= 1"):
+        predict_ite(model, store, x_local, x_global, **kwargs)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.TG_CRN,
+                                     ModelVariant.RNN_BASELINE])
+def test_predict_ite_runs_one_pass_when_nothing_is_drawn(variant,
+                                                         monkeypatch):
+    calls = []
+    for name in ("latent", "step"):
+        method = getattr(CrnModel, name)
+
+        def counted(self, *args, _method=method, **kwargs):
+            calls.append(None)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(CrnModel, name, counted)
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=33)
+    x_local, x_global, _ = batch_from_sim(cfg, 3, seed=33)
+    ref = predict_ite(model, store, x_local, x_global, chunk=2)
+    n_calls = len(calls)
+    # three passes would average x/3 three times, which is not always x
+    for mc in (3, 4):
+        calls.clear()
+        got = predict_ite(model, store, x_local, x_global, chunk=2,
+                          mc_samples=mc, seed=7)
+        assert len(calls) == n_calls
+        assert got.keys() == ref.keys()
+        for key in got:
+            assert np.array_equal(got[key], ref[key]), (mc, key)
 
 
 def fork_cfg():
@@ -1020,29 +1107,3 @@ def test_deterministic_desk_chunk_runs_no_sigma_head(monkeypatch):
     always_sigma(monkeypatch)
     predict_ite(model, store, x_local, x_global, chunk=32)
     assert len(calls) == 35
-
-
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_traced_rollout_keeps_sigma_traces(mode, monkeypatch):
-    cfg = fork_cfg()
-    model, store, leaves = bound_model(ModelVariant.TGV_CRN, cfg, seed=47)
-    x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=47)
-
-    def traces():
-        roll = model.rollout(leaves, x_local, x_global, treatment, mode,
-                             trace=True)
-        return roll.traces
-
-    got = traces()
-    always_sigma(monkeypatch)
-    ref = traces()
-    n_dec = sum(model.decodes(t, mode) for t in range(cfg.n_steps))
-    assert len(got["sigma_pri"]) == cfg.n_steps
-    assert len(got["sigma_dec"]) == n_dec > 0
-    assert got.keys() == ref.keys()
-    for key in got:
-        assert len(got[key]) == len(ref[key])
-        for a, b in zip(got[key], ref[key]):
-            assert np.array_equal(a, b), key
-    assert all(np.all(sig > 0) for key in ("sigma_pri", "sigma_dec")
-               for sig in got[key])

@@ -5,7 +5,7 @@ import cfswarm.tensor as T
 from cfswarm import artifact
 from cfswarm.boids import SimConfig
 from cfswarm.errors import ContractError, DimensionError, DomainError
-from cfswarm.gradcheck import check_ops, fd_check
+from cfswarm.gradcheck import check_ops, fd_check, patched_backward
 from cfswarm.model import CrnModel, ModelVariant
 from cfswarm.optim import (ParamStore, adam_step_grads, load_checkpoint,
                            save_checkpoint)
@@ -130,6 +130,24 @@ def test_tanh_gradient_matches_finite_differences():
         return T.tsum(T.tanh(lv[0]))
 
     assert fd_check(build, [x]) < 1e-6
+
+
+def test_fd_check_probes_only_the_listed_entries():
+    # a neg rule that drops entry 1's gradient is caught exactly when
+    # entry 1 of the first input is probed
+    x, y = np.array([0.3, -0.7, 1.1]), np.array([0.5, 2.0])
+    calls = []
+
+    def build(lv):
+        calls.append(None)
+        return T.add(T.tsum(T.neg(lv[0])), T.tsum(T.square(lv[1])))
+
+    with patched_backward("neg", lambda g, saved: (-g * [1.0, 0.0, 1.0],)):
+        assert fd_check(build, [x, y]) > 0.5
+        assert fd_check(build, [x, y], [[1], []]) > 0.5
+        calls.clear()
+        assert fd_check(build, [x, y], [[0, 2], [1]]) < 1e-8
+        assert len(calls) == 1 + 2 * 3
 
 
 # ---------------------------------------------------------------------------
