@@ -1,13 +1,13 @@
 """Command-line entry points.
 
 Subcommands: gen (write a dataset), train (fit a variant on a dataset),
-eval (score a checkpoint on the counterfactual test set), cf-rollout (dump
-predicted counterfactual trajectories), gradcheck (finite-difference
-audit), sweep (loss-weight sensitivity table).  Every command is driven by
-one sectioned config file; --out (and --checkpoint, which only eval and
-cf-rollout take) override the [paths] section.  Each command writes
-run_manifest.json with sha256 checksums of its output files, so identical
-configs and seeds give identical checksums.
+eval (score a checkpoint on the counterfactual test set and dump every
+arm's predicted trajectories), gradcheck (finite-difference audit), sweep
+(loss-weight sensitivity table).  Every command is driven by one sectioned
+config file; --out (and --checkpoint, which only eval takes) override the
+[paths] section.  Each command writes run_manifest.json with sha256
+checksums of its output files, so identical configs and seeds give
+identical checksums.
 
 Exit codes: 0 success, 1 contract/config error, 2 numeric failure.
 """
@@ -20,14 +20,14 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, artifact
+from . import __version__
 from .config import RunConfig, load_config, require_sim_match
 from .data import Dataset, generate_dataset, ground_truth_ite, load_dataset, \
     save_dataset
 from .errors import ConfigError, ContractError, NumericError
 from .gradcheck import run_gradcheck
-from .metrics import DUMP_FILE, evaluate
-from .model import CrnModel, predict_ite
+from .metrics import evaluate
+from .model import CrnModel
 from .optim import load_checkpoint
 from .sweep import covariate_tradeoff, default_grid, format_table, \
     load_grid, sensitivity_sweep, write_sweep_csv
@@ -173,30 +173,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_cf_rollout(cfg: RunConfig, args) -> int:
-    started = time.time()
-    out = _resolve_out(cfg, args, "cf-rollout")
-    ds = _load_dataset_checked(cfg, "cf-rollout")
-    store = _load_checkpoint_checked(cfg, args, "cf-rollout")
-    model = CrnModel(cfg.variant, ds.cfg, cfg.dims)
-    cf = ds.cf
-    arms = [a for a in cf.arms if a >= 0]
-    pred = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
-                       arms=arms, mc_samples=cfg.eval.mc_samples,
-                       seed=cfg.eval.seed, chunk=cfg.eval.chunk)
-    artifact.save(out / DUMP_FILE, {
-        "y_pred": pred["y_all"], "a_pred": pred["a_all"],
-        "x_loc_pred": pred["x_loc_hat"], "x_g_pred": pred["x_g_hat"],
-        "tau_hat": pred["tau_hat"], "best_timing": pred["best_timing"]},
-        {"format": "cf-rollout-v3", "arms": pred["arms"]})
-    write_run_manifest(out, "cf-rollout", cfg, started)
-    print(f"counterfactual rollouts for {pred['y_all'].shape[0]} episodes x "
-          f"{pred['y_all'].shape[1]} arms -> {out}")
-    print(f"predicted final-step effect: mean "
-          f"{pred['tau_hat'][:, :].mean():+.4f}")
-    return 0
-
-
 def cmd_gradcheck(cfg: RunConfig, args) -> int:
     started = time.time()
     result = run_gradcheck(variants=(cfg.variant,))
@@ -249,7 +225,6 @@ COMMANDS = {
     "gen": cmd_gen,
     "train": cmd_train,
     "eval": cmd_eval,
-    "cf-rollout": cmd_cf_rollout,
     "gradcheck": cmd_gradcheck,
     "sweep": cmd_sweep,
 }
@@ -266,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sectioned key=value run config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [paths])")
-        if name in ("eval", "cf-rollout"):
+        if name == "eval":
             p.add_argument("--checkpoint", default=None,
                            help="checkpoint stem to load")
         if name == "sweep":

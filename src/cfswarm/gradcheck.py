@@ -20,11 +20,12 @@ from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp
 from .boids import SimConfig
 from .data import generate_dataset
 from .errors import ContractError
-from .losses import LossWeights, loss_total
+from .losses import LossWeights
 from .model import (CrnModel, ModelDims, ModelVariant, group_spin,
                     theory_turn)
 from .optim import ParamStore
 from .rng import Rng, derive_seed
+from .training import _episode_loss
 
 FD_STEP, FD_FLOOR = 1e-5, 1e-8   # central-difference step, error floor
 E2E_PROBES = 3                    # probed entries per parameter end to end
@@ -220,7 +221,7 @@ def _grad_reverse_case(a, scale: float = 1.7) -> float:
 def check_ops() -> dict[str, float]:
     """Run every op case; raises nothing, returns kind -> worst rel error."""
     results = {name: fn() for name, fn in op_cases().items()}
-    uncovered = set(T.BACKWARD) - set(results) - {"leaf"}
+    uncovered = set(T.BACKWARD) - set(results)
     # composite cases above exercise kl/nll; every primitive must be hit
     if uncovered:
         raise ContractError(f"op table misses backward kinds: {sorted(uncovered)}")
@@ -269,23 +270,21 @@ def tiny_world():
 
 
 def check_end_to_end(variant: ModelVariant = ModelVariant.TGV_CRN) -> float:
-    """Worst FD relative error of the full training loss on a tiny world,
-    probing E2E_PROBES entries per parameter drawn in store order."""
+    """Worst FD relative error of training's episode loss over a tiny
+    world's train split, probing E2E_PROBES entries per parameter drawn in
+    store order."""
     cfg, ds, dims = tiny_world()
-    xb, gb = ds.train.x_local, ds.train.x_global
-    ab = ds.train.treatment.astype(np.float64)
-    yb = ds.train.outcome
     model = CrnModel(variant, cfg, dims)
     store = model.init_store(1)
     pick = np.random.default_rng(0)
     sizes = [p.array.size for p in store.params.values()]
     probes = [pick.choice(n, size=min(E2E_PROBES, n), replace=False)
               for n in sizes]
+    idx = np.arange(ds.train.n)
 
     def full_loss(leaves):
-        roll = model.rollout(leaves, xb, gb, ab, "train",
-                             rng=Rng(derive_seed(11, "e2e")))
-        return loss_total(roll, xb, gb, yb, ab, LossWeights())[0]
+        return _episode_loss(model, leaves, ds.train, idx, LossWeights(),
+                             Rng(derive_seed(11, "e2e")))[0]
 
     with grl_bypass():
         return _fd_check_params(store, full_loss, probes)

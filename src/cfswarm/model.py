@@ -747,7 +747,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     never-treated arm's key, so the arms share their latent draws through
     their start step s, whose latent no treatment reaches (common random
     numbers on everything the treatment cannot touch); each treated arm
-    draws from its own key from step s + 1 on.
+    draws from its own key from step s + 1 on.  Keys count on across
+    chunks (chunk c's first key is c * passes * A), so no two chunks share
+    a draw and equal episodes in different chunks get different noise.
 
     Only the free-run steps decode covariates (`CrnModel.decodes`): the
     burn-in prefix takes the observed covariates and step T-1 would predict
@@ -755,10 +757,11 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     unless mc_samples > 0 draws latents from the prior, so a deterministic
     call runs the mu halves only (see `CrnModel.latent`).
 
-    Returns a dict with arms (the arms plus None for never-treated), y_final
-    (n, A), tau_hat (n, A-1), best_timing (n,), y_all (n, A, T), a_all
-    (n, A, T), and the covariate predictions of world steps burn..T-1:
-    x_loc_hat (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
+    Returns a dict with arms (the arms plus None for never-treated, which
+    the dataset and eval's dump store as -1), y_final (n, A), tau_hat
+    (n, A-1), best_timing (n,), y_all (n, A, T), a_all (n, A, T), and the
+    covariate predictions of world steps burn..T-1: x_loc_hat
+    (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
     """
     cfg = model.cfg
     if mc_samples < 0 or chunk < 1:
@@ -792,6 +795,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     n_pass = max(1, mc_samples)
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
+        first_key = start // chunk * n_pass * n_arms
         xb, gb = x_local[rows], x_global[rows]
         b = xb.shape[0]
 
@@ -817,7 +821,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
         never = treatment_matrix(b, n_steps, None)
         for p in range(n_pass):
-            rng = rng_for(p * n_arms + n_arms - 1)
+            rng = rng_for(first_key + p * n_arms + n_arms - 1)
             state, trunk = model.init_state(b), []
             for t in range(n_steps):
                 # arms starting at t fork here and finish the trunk's latent
@@ -828,7 +832,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                     fork, so = model.step(leaves, state, t, xb, gb, a_seq,
                                           "infer", rng, latent=latent)
                     add(ai, trunk + [so] + tail(fork, t + 1, a_seq,
-                                                p * n_arms + ai))
+                                                first_key + p * n_arms + ai))
                 state, so = model.step(leaves, state, t, xb, gb, never,
                                        "infer", rng, latent=latent)
                 trunk.append(so)

@@ -79,8 +79,7 @@ class ParamStore:
 
 
 def adam_step_grads(store: ParamStore, grads: dict[str, np.ndarray],
-                    lr: float, beta1: float = ADAM_BETA1,
-                    beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
+                    lr: float) -> None:
     """Bias-corrected Adam update from an explicit gradient dict."""
     for name in store.params:
         if name not in grads:
@@ -89,13 +88,15 @@ def adam_step_grads(store: ParamStore, grads: dict[str, np.ndarray],
             raise DimensionError(f"gradient shape mismatch for {name!r}")
     store.step_count += 1
     t = store.step_count
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, param in store.params.items():
         g = grads[name]
-        m = store.adam_m[name] = beta1 * store.adam_m[name] + (1.0 - beta1) * g
-        v = store.adam_v[name] = beta2 * store.adam_v[name] + (1.0 - beta2) * (g * g)
-        update = (m / c1) / (np.sqrt(v / c2) + eps)
+        m = store.adam_m[name] = (ADAM_BETA1 * store.adam_m[name]
+                                  + (1.0 - ADAM_BETA1) * g)
+        v = store.adam_v[name] = (ADAM_BETA2 * store.adam_v[name]
+                                  + (1.0 - ADAM_BETA2) * (g * g))
+        update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         store.params[name] = Tensor(param.array - lr * update)
 
 

@@ -27,12 +27,12 @@ TABLE_COLUMNS = ("alpha", "gamma", "lambda", "l_outcome", "l_covariates",
                  "best_epoch")
 
 
-def default_grid(values=SWEEP_VALUES) -> list[LossWeights]:
+def default_grid() -> list[LossWeights]:
     """Default + each weight varied alone: 7 rows for the 3-value grid."""
     base = LossWeights()
     grid = [base]
     for attr in ("alpha", "gamma", "lam"):
-        for v in values:
+        for v in SWEEP_VALUES:
             if v == getattr(base, attr):
                 continue
             grid.append(replace(base, **{attr: v}))

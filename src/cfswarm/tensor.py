@@ -319,12 +319,7 @@ def _bw_pair_tanh_sum(g, saved):
     return (g_k, d.sum(axis=1), g_k.sum(axis=(0, 1)))
 
 
-def _bw_leaf(g, saved):
-    return ()
-
-
 BACKWARD = {
-    "leaf": _bw_leaf,
     "add": _bw_add,
     "sub": _bw_sub,
     "mul": _bw_mul,

@@ -255,32 +255,28 @@ def test_eval_rejects_truncated_checkpoint(pipeline, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-def test_cf_rollout_dump(pipeline, tmp_path):
-    out = tmp_path / "cf"
-    code = main(["cf-rollout", "--config", pipeline["config"],
-                 "--out", str(out)])
-    assert code == 0
-    assert (out / "dump.npz").exists()
-    arrays, meta = artifact.load(out / "dump.npz", ())
-    assert meta["format"] == "cf-rollout-v3"
-    assert meta["arms"] == [5, 6, 7, None]
-    # n_test=2, arms 3+1, T=8; covariates of world steps burn_in=5..7
-    assert arrays["y_pred"].shape == (2, 4, 8)
-    assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
-    assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
-    for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
-                 "best_timing"):
-        assert name in arrays
-    y = arrays["y_pred"]
-    assert np.all((y > 0.0) & (y < 1.0))
-
-
 @pytest.fixture(scope="module")
 def eval_dir(pipeline, tmp_path_factory):
     out = tmp_path_factory.mktemp("eval")
     assert main(["eval", "--config", pipeline["config"],
                  "--out", str(out)]) == 0
     return out
+
+
+def test_eval_dump_holds_every_arms_predictions(eval_dir):
+    assert (eval_dir / "dump.npz").exists()
+    arrays, meta = artifact.load(eval_dir / "dump.npz", ())
+    assert meta["format"] == "eval-dump-v3"
+    assert meta["arms"] == [5, 6, 7, -1]
+    # n_test=2, arms 3+1, T=8; covariates of world steps burn_in=5..7
+    assert arrays["y_pred"].shape == (2, 4, 8)
+    assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
+    assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
+    for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
+                 "best_pred"):
+        assert name in arrays
+    y = arrays["y_pred"]
+    assert np.all((y > 0.0) & (y < 1.0))
 
 
 def corrupt(path, how, drop):
@@ -563,9 +559,13 @@ def test_cli_module_entry_point(tmp_path):
     assert "error:" in proc.stderr
 
 
-def test_unknown_command_rejected():
-    with pytest.raises(SystemExit):
-        main(["frobnicate", "--config", "x.ini"])
+def test_unknown_command_rejected(capsys):
+    # eval's dump holds every array the removed cf-rollout command wrote
+    for command in ("frobnicate", "cf-rollout"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", "x.ini"])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gen", "train", "gradcheck", "sweep"])

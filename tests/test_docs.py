@@ -1,0 +1,28 @@
+"""README claims that the code can check: the command list and the dump table."""
+
+import re
+from pathlib import Path
+
+from cfswarm import cli, metrics
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def section(title):
+    text = README.read_text()
+    start = text.index(f"\n## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:end if end >= 0 else len(text)]
+
+
+def test_quickstart_names_exactly_the_cli_commands():
+    shown = re.findall(r"^cfswarm (\S+)", section("Quickstart"), re.M)
+    assert sorted(shown) == sorted(cli.COMMANDS)
+
+
+def test_dump_table_names_every_dump_array():
+    rows = [line for line in section("Quickstart").splitlines()
+            if line.startswith("| `")]
+    listed = {name for row in rows
+              for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert set(metrics._DUMP_ARRAYS) <= listed

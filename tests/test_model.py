@@ -781,6 +781,35 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
                                   got["a_all"][:, -1, s]), s
 
 
+@pytest.mark.parametrize("variant", [ModelVariant.TGV_CRN,
+                                     ModelVariant.GV_CRN,
+                                     ModelVariant.TV_CRN])
+def test_predict_ite_chunks_draw_their_own_noise(variant):
+    # episodes 2-3 repeat episodes 0-1; with chunk=2 they fall in the second
+    # chunk, which must not replay the first chunk's draws
+    cfg = fork_cfg()
+    model, store, _ = bound_model(variant, cfg, seed=28)
+    x_local, x_global, _ = batch_from_sim(cfg, 2, seed=28)
+    x_local = np.concatenate([x_local, x_local])
+    x_global = np.concatenate([x_global, x_global])
+    mc = predict_ite(model, store, x_local, x_global, mc_samples=2, seed=4,
+                     chunk=2)
+    for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+        for i in (0, 1):
+            assert not np.array_equal(mc[key][i], mc[key][i + 2]), (key, i)
+    # the first chunk keeps the keys of a call that fits in one chunk
+    head = predict_ite(model, store, x_local[:2], x_global[:2],
+                       mc_samples=2, seed=4, chunk=2)
+    for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+        assert np.array_equal(mc[key][:2], head[key]), key
+    # deterministic calls draw nothing, so chunking cannot move them
+    two, four = (predict_ite(model, store, x_local, x_global, chunk=c)
+                 for c in (2, 4))
+    assert two.keys() == four.keys()
+    for key in two:
+        assert np.array_equal(two[key], four[key]), key
+
+
 def head_on_world():
     """Two episodes of a K = 2 pair 0.75 apart in each other's orientation
     zone, heading straight at each other at every step."""
