@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__
+from . import __version__, parallel
 from .config import RunConfig, load_config, require_sim_match
 from .data import Dataset, generate_dataset, ground_truth_ite, load_dataset, \
     save_dataset
@@ -136,10 +136,13 @@ def cmd_train(cfg: RunConfig, args) -> int:
     ds = _load_dataset_checked(cfg, "train")
     model = CrnModel(cfg.variant, ds.cfg, cfg.dims)
     store, summary = train(model, ds, cfg.train, out_dir=out)
+    most = max(min(cfg.train.batch_size, ds.train.n), ds.val.n)
     write_run_manifest(out, "train", cfg, started,
                        extra={"best_epoch": summary["best_epoch"],
                               "best_val": summary["best_val"],
-                              "clip_events": summary["clip_events"]})
+                              "clip_events": summary["clip_events"],
+                              "processes": parallel.process_count(
+                                  -(-most // cfg.train.micro_batch))})
     last = summary["rows"][-1] if summary["rows"] else None
     print(f"trained {cfg.variant.value} for {summary['epochs']} epochs; "
           f"best validation total {summary['best_val']:.6f} at epoch "
@@ -162,7 +165,8 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                             mc_samples=cfg.eval.mc_samples,
                             seed=cfg.eval.seed, chunk=cfg.eval.chunk,
                             dump_dir=str(out))
-    write_run_manifest(out, "eval", cfg, started)
+    write_run_manifest(out, "eval", cfg, started, extra={
+        "processes": parallel.process_count(-(-ds.test.n // cfg.eval.chunk))})
     print(f"evaluated {cfg.variant.value} on {report.n_episodes} episodes")
     for name in ("l_outcome", "l_covariates", "pehe_sqrt", "ate_abs_err",
                  "timing_err", "cf_uplift"):

@@ -31,6 +31,7 @@ from .boids import SimConfig
 from .data import final_effects
 from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .optim import ParamStore
+from .parallel import fork_map
 from .rng import Rng, derive_seed
 
 _EPS = 1e-24
@@ -750,6 +751,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     draws from its own key from step s + 1 on.  Keys count on across
     chunks (chunk c's first key is c * passes * A), so no two chunks share
     a draw and equal episodes in different chunks get different noise.
+    The chunks run on `fork_map`'s processes; no output depends on how many.
 
     Only the free-run steps decode covariates (`CrnModel.decodes`): the
     burn-in prefix takes the observed covariates and step T-1 would predict
@@ -793,11 +795,14 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
 
     leaves = store.bind(T.Tape(record=False))
     n_pass = max(1, mc_samples)
-    for start in range(0, n, chunk):
+
+    def run_chunk(start):
         rows = slice(start, min(start + chunk, n))
         first_key = start // chunk * n_pass * n_arms
         xb, gb = x_local[rows], x_global[rows]
         b = xb.shape[0]
+        y, a_prob, x_loc, x_g = (np.zeros((b,) + full.shape[1:]) for full
+                                 in (y_all, a_all, x_loc_all, x_g_all))
 
         def tail(state, s, a_seq, key):
             """Steps s..T-1 of the arm with treatments a_seq, from the state
@@ -814,10 +819,10 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                 return np.stack([getattr(so, name).array for so in outs
                                  if getattr(so, name) is not None],
                                 axis=1) / n_pass
-            y_all[rows, ai] += stacked("y_hat")[:, :, 0]
-            a_all[rows, ai] += stacked("a_prob")[:, :, 0]
-            x_loc_all[rows, ai] += stacked("x_loc_hat")
-            x_g_all[rows, ai] += stacked("x_g_hat")
+            y[:, ai] += stacked("y_hat")[:, :, 0]
+            a_prob[:, ai] += stacked("a_prob")[:, :, 0]
+            x_loc[:, ai] += stacked("x_loc_hat")
+            x_g[:, ai] += stacked("x_g_hat")
 
         never = treatment_matrix(b, n_steps, None)
         for p in range(n_pass):
@@ -837,6 +842,10 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                                        "infer", rng, latent=latent)
                 trunk.append(so)
             add(n_arms - 1, trunk)
+        return rows, (y, a_prob, x_loc, x_g)
+
+    for rows, parts in fork_map(run_chunk, range(0, n, chunk)):
+        y_all[rows], a_all[rows], x_loc_all[rows], x_g_all[rows] = parts
 
     tau_hat, best = final_effects(y_all, arms)
     return {"arms": all_arms, "y_final": y_all[:, :, -1], "tau_hat": tau_hat,

@@ -20,6 +20,7 @@ from .errors import ConfigError, NumericError
 from .losses import LossWeights, loss_total
 from .model import CrnModel
 from .optim import ParamStore, adam_step_grads, save_checkpoint
+from .parallel import fork_map
 from .rng import Rng, derive_seed
 
 LOG_FIELDS = ("l_y", "l_x", "l_a", "l_elbo", "total")
@@ -61,16 +62,20 @@ def _episode_loss(model: CrnModel, leaves, split: Split, idx, weights,
 
 def validation_loss(model: CrnModel, store: ParamStore, split: Split,
                     weights: LossWeights, micro_batch: int = 32) -> dict:
-    """Deterministic validation components (latents at their means)."""
+    """Deterministic validation components (latents at their means), the
+    micro-batches run by `fork_map` and summed in order."""
     n = split.n
-    acc = {k: 0.0 for k in LOG_FIELDS}
-    for start in range(0, n, micro_batch):
+
+    def parts(start):
         idx = np.arange(start, min(start + micro_batch, n))
-        tape = T.Tape(record=False)
-        leaves = store.bind(tape)
-        _, parts = _episode_loss(model, leaves, split, idx, weights, None)
+        leaves = store.bind(T.Tape(record=False))
+        return (_episode_loss(model, leaves, split, idx, weights, None)[1],
+                len(idx))
+
+    acc = {k: 0.0 for k in LOG_FIELDS}
+    for part, size in fork_map(parts, range(0, n, micro_batch)):
         for k in LOG_FIELDS:
-            acc[k] += parts[k] * len(idx) / n
+            acc[k] += part[k] * size / n
     return acc
 
 
@@ -107,8 +112,8 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
     so identical runs write identical bytes.  A non-finite training or
     validation loss raises NumericError.
 
-    Each micro-batch's tape is released once its leaf gradients have been
-    accumulated, so no forward pass runs while an earlier tape is alive.
+    An Adam step's micro-batches run by `fork_map` (README, "Cores"), each
+    process holding one tape at a time; their gradients are summed in order.
     """
     cfg.validate()
     train_split, val_split = dataset.train, dataset.val
@@ -129,27 +134,26 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
         for b_start in range(0, train_split.n, cfg.batch_size):
             batch_idx = order[b_start:b_start + cfg.batch_size]
             batch_n = len(batch_idx)
-            grads_sum: dict[str, np.ndarray] = {}
-            for m_start in range(0, batch_n, cfg.micro_batch):
+
+            def gradients(m_start):
                 idx = batch_idx[m_start:m_start + cfg.micro_batch]
-                tape = T.Tape()
-                leaves = store.bind(tape)
-                rng = root.fork("latent", epoch * 1_000_003 + b_start + m_start)
-                total, parts = _episode_loss(model, leaves, train_split, idx,
-                                             cfg.weights, rng)
+                total, parts = _episode_loss(
+                    model, store.bind(T.Tape()), train_split, idx, cfg.weights,
+                    root.fork("latent", epoch * 1_000_003 + b_start + m_start))
                 if not np.isfinite(parts["total"]):
                     raise NumericError(
                         f"training loss diverged at epoch {epoch}: {parts}")
-                scaled = T.mul(total, len(idx) / batch_n)
-                T.backward(scaled)
-                for name, g in store.gradients().items():
+                T.backward(T.mul(total, len(idx) / batch_n))
+                return store.gradients(), parts, len(idx)
+
+            grads_sum: dict[str, np.ndarray] = {}
+            for grads, parts, size in fork_map(
+                    gradients, range(0, batch_n, cfg.micro_batch)):
+                for name, g in grads.items():
                     acc = grads_sum.get(name)
                     grads_sum[name] = g.copy() if acc is None else acc + g
                 for k in LOG_FIELDS:
-                    train_acc[k] += parts[k] * len(idx) / train_split.n
-                # the loss tensors reference the tape; drop them so this
-                # micro-batch's tape is freed before the next forward pass
-                del tape, leaves, total, scaled
+                    train_acc[k] += parts[k] * size / train_split.n
             norm, clipped = _clip_grads(grads_sum, cfg.clip_norm)
             clip_events += int(clipped)
             adam_step_grads(store, grads_sum, cfg.lr)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cfswarm.model as model_module
+import cfswarm.parallel as parallel
 import cfswarm.tensor as T
 from cfswarm.blocks import GaussianHead, GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
@@ -666,10 +667,17 @@ def test_predict_ite_rejects_bad_counts(kwargs):
         predict_ite(model, store, x_local, x_global, **kwargs)
 
 
+def one_process(monkeypatch):
+    """Run predict_ite's chunks in this process: a call count belongs to
+    one process, and a forked chunk's calls are counted in its child."""
+    monkeypatch.setattr(parallel, "process_count", lambda n_items: 1)
+
+
 @pytest.mark.parametrize("variant", [ModelVariant.TG_CRN,
                                      ModelVariant.RNN_BASELINE])
 def test_predict_ite_runs_one_pass_when_nothing_is_drawn(variant,
                                                          monkeypatch):
+    one_process(monkeypatch)
     calls = []
     for name in ("latent", "step"):
         method = getattr(CrnModel, name)
@@ -829,6 +837,7 @@ def test_predict_ite_shares_each_start_steps_latent_half(variant,
     # a prior GNN per latent half: the trunk's T steps plus each arm's steps
     # after its start, T + sum(T - s) - A halves per chunk; a decoder GNN
     # per half that decodes, t in burn-1..T-2
+    one_process(monkeypatch)
     calls = []
     forward = GnnBlock.__call__
 
