@@ -26,15 +26,33 @@ def save(path, arrays: dict, meta: dict) -> None:
              **{META_KEY: np.array(json.dumps(meta, sort_keys=True))})
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value is of kind: None (any value), a type (a bool is
+    no int), a tuple of kinds (any of them), [kind] (a list of them) or
+    {str: kind} (a map of them)."""
+    if kind is None:
+        return True
+    if isinstance(kind, tuple):
+        return any(_fits(value, k) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0])
+                                               for v in value)
+    if isinstance(kind, dict):
+        return isinstance(value, dict) and all(_fits(v, kind[str])
+                                               for v in value.values())
+    return type(value) is kind
+
+
 def load(path, names, fmt: str | None = None,
-         meta_keys=()) -> tuple[dict, dict]:
+         meta_kinds: dict | None = None) -> tuple[dict, dict]:
     """Read every array and the metadata; each of ``names`` must be present.
 
     With ``fmt``, the metadata's "format" must equal it (checked first, so
-    a file of another format is named as such); each of ``meta_keys`` must
-    be in the metadata.  Any failure (missing file, key or metadata key,
-    truncation, checksum mismatch, junk, a NaN or inf in a float array) is a
-    ContractError naming the file.
+    a file of another format is named as such); each key of ``meta_kinds``
+    must be in the metadata and hold a value of its kind (see ``_fits``).
+    Any failure (missing file, key or metadata key, malformed metadata,
+    truncation, checksum mismatch, junk, a NaN or inf in a float array) is
+    a ContractError naming the file.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -54,9 +72,15 @@ def load(path, names, fmt: str | None = None,
     missing = [name for name in names if name not in arrays]
     if missing:
         raise ContractError(f"artifact {str(path)!r} lacks {missing}")
-    missing = [key for key in meta_keys if key not in meta]
+    meta_kinds = meta_kinds or {}
+    missing = [key for key in meta_kinds if key not in meta]
     if missing:
         raise ContractError(f"artifact {str(path)!r} lacks metadata {missing}")
+    wrong = [key for key, kind in meta_kinds.items()
+             if not _fits(meta[key], kind)]
+    if wrong:
+        raise ContractError(f"artifact {str(path)!r} has malformed metadata "
+                            f"{wrong}")
     bad = [key for key, arr in arrays.items()
            if arr.dtype.kind == "f" and not np.isfinite(arr).all()]
     if bad:

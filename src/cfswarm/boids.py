@@ -21,7 +21,7 @@ length-2 coordinate axis.  `step` and `mean_angular_momentum` split a
 throughout its loop.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 

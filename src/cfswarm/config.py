@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .boids import SimConfig
 from .errors import ConfigError
-from .losses import LossWeights
 from .model import ModelDims, ModelVariant
 from .training import TrainConfig
 

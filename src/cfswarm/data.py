@@ -234,7 +234,8 @@ def load_dataset(out_dir: str) -> Dataset:
     arrays, meta = artifact.load(
         os.path.join(out_dir, DATASET_FILE),
         [f"{part}_{name}" for part, names in _PARTS for name in names],
-        DATASET_FORMAT, ("seed", "sim", "arms", "untreated_fraction"))
+        DATASET_FORMAT, {"seed": int, "sim": None, "arms": [int],
+                         "untreated_fraction": (int, float)})
     arrays = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr
               for key, arr in arrays.items()}
     part = {p: [arrays[f"{p}_{name}"] for name in names] for p, names in _PARTS}

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .model import RolloutOutput
+from .model import StepOutput
 
 
 @dataclass
@@ -42,49 +42,59 @@ def bce_with_logits(logits, targets):
     return T.mean(per)
 
 
-def loss_components(roll: RolloutOutput, x_local, x_global, outcome,
+def loss_components(steps: list[StepOutput], x_local, x_global, outcome,
                     treatment):
-    """Per-term losses of one factual rollout as tape scalars.
+    """Per-term losses of one factual rollout's steps as tape scalars.
 
     Returns a dict with l_y, l_x, l_a, l_elbo; covariate targets exist for
     steps t with t+1 < T, outcome and treatment targets for every step.
+    Each ELBO term (kl, recon, and gv_crn's g_kl and g_recon) is summed
+    over the steps that hold it, in step order; l_elbo divides the sums by
+    the batch size times the number of steps holding a recon term.
     """
     x_local = np.asarray(x_local, dtype=np.float64)
     x_global = np.asarray(x_global, dtype=np.float64)
     outcome = np.asarray(outcome, dtype=np.float64)
     treatment = np.asarray(treatment, dtype=np.float64)
     b, n_steps = outcome.shape
-    if len(roll.y_hat) != n_steps:
+    if len(steps) != n_steps:
         raise ContractError("rollout length does not match targets")
 
-    y_seq = T.concat(roll.y_hat, 1)                     # (B, T)
+    y_seq = T.concat([so.y_hat for so in steps], 1)    # (B, T)
     l_y = T.mean(T.square(T.sub(y_seq, outcome)))
 
     sq_sum = None
     for t in range(n_steps - 1):
-        d_loc = T.sub(roll.x_loc_hat[t], x_local[:, t + 1])
-        d_g = T.sub(roll.x_g_hat[t], x_global[:, t + 1])
+        d_loc = T.sub(steps[t].x_loc_hat, x_local[:, t + 1])
+        d_g = T.sub(steps[t].x_g_hat, x_global[:, t + 1])
         part = T.add(T.tsum(T.square(d_loc)), T.tsum(T.square(d_g)))
         sq_sum = part if sq_sum is None else T.add(sq_sum, part)
     n_x = b * (n_steps - 1) * (x_local.shape[2] * 5 + 1)
     l_x = T.mul(sq_sum, 1.0 / n_x)
 
-    logit_seq = T.concat(roll.a_logits, 1)
+    logit_seq = T.concat([so.a_logits for so in steps], 1)
     l_a = bce_with_logits(logit_seq, treatment)
 
-    denom = max(1, roll.batch_size * roll.elbo_steps)
-    l_elbo = T.mul(T.add(roll.recon_sum, roll.kl_sum), 1.0 / denom)
-    if roll.g_recon_sum is not None:
-        l_elbo = T.add(l_elbo, T.mul(T.add(roll.g_recon_sum, roll.g_kl_sum),
-                                     1.0 / denom))
+    def term_sum(name):
+        total = T._lift(0.0)
+        for so in steps:
+            if getattr(so, name) is not None:
+                total = T.add(total, getattr(so, name))
+        return total
+
+    denom = max(1, b * sum(so.recon is not None for so in steps))
+    l_elbo = T.mul(T.add(term_sum("recon"), term_sum("kl")), 1.0 / denom)
+    if any(so.g_kl is not None or so.g_recon is not None for so in steps):
+        l_elbo = T.add(l_elbo, T.mul(T.add(term_sum("g_recon"),
+                                           term_sum("g_kl")), 1.0 / denom))
     return {"l_y": l_y, "l_x": l_x, "l_a": l_a, "l_elbo": l_elbo}
 
 
-def loss_total(roll: RolloutOutput, x_local, x_global, outcome, treatment,
-               weights: LossWeights):
+def loss_total(steps: list[StepOutput], x_local, x_global, outcome,
+               treatment, weights: LossWeights):
     """Weighted total loss; returns (scalar tensor, float component dict)."""
     weights.validate()
-    parts = loss_components(roll, x_local, x_global, outcome, treatment)
+    parts = loss_components(steps, x_local, x_global, outcome, treatment)
     total = T.add(parts["l_y"],
                   T.add(T.mul(parts["l_elbo"], weights.alpha),
                         T.add(T.mul(parts["l_x"], weights.gamma),

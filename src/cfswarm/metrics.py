@@ -171,7 +171,7 @@ def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
                        arms=arms, mc_samples=mc_samples, seed=seed,
                        chunk=chunk)
     report, per_episode = compute_metrics(
-        cf, dataset.test.outcome.astype(np.float64), pred["y_all"],
+        cf, dataset.test.outcome, pred["y_all"],
         pred["x_loc_hat"], pred["x_g_hat"], pred["best_timing"], cfg,
         variant=model.variant.value)
     if dump_dir is not None:
@@ -213,6 +213,6 @@ def read_eval_dump(path: Path) -> dict:
     Returns the arrays by name plus "arms", the arm list of the dump.
     """
     arrays, meta = artifact.load(Path(path) / DUMP_FILE, _DUMP_ARRAYS,
-                                 EVAL_DUMP_FORMAT, ("arms",))
+                                 EVAL_DUMP_FORMAT, {"arms": [int]})
     arrays["arms"] = meta["arms"]
     return arrays

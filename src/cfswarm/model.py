@@ -81,37 +81,6 @@ class ModelDims:
         return self
 
 
-@dataclass
-class RolloutOutput:
-    """Per-step predictions plus the ELBO pieces of one batched rollout.
-
-    y_hat, a_prob and a_logits have length T; y_hat[t] predicts the outcome
-    at t+1.  x_loc_hat and x_g_hat hold the covariate predictions of the
-    steps that decode them (`CrnModel.decodes`), in raw covariate units:
-    t = 0..T-2 in train mode (entry t predicts step t+1), t = burn-1..T-2
-    in infer mode (entry j predicts step burn+j).  kl_sum and recon_sum are
-    sums over batch, agents and dims, accumulated over elbo_steps burn-in
-    steps (divide by batch_size * elbo_steps for the per-episode-step loss).
-    """
-
-    y_hat: list
-    a_prob: list
-    a_logits: list
-    x_loc_hat: list
-    x_g_hat: list
-    kl_sum: object
-    recon_sum: object
-    g_kl_sum: object = None
-    g_recon_sum: object = None
-    batch_size: int = 0
-    elbo_steps: int = 0
-
-    def stacked(self, name: str) -> np.ndarray:
-        """Detach one per-step list into (B, len, ...) float64."""
-        seq = getattr(self, name)
-        return np.stack([t.array for t in seq], axis=1)
-
-
 @dataclass(frozen=True)
 class RolloutState:
     """What one rollout step hands the next.  Never mutated, so rollouts
@@ -136,9 +105,15 @@ class RolloutState:
 
 @dataclass
 class StepOutput:
-    """One step's predictions, as in RolloutOutput's per-step lists, plus
-    its ELBO terms (None where the step adds none).  x_loc_hat and x_g_hat
-    are None on a step that decodes no covariates."""
+    """What step t of a rollout predicts, and its ELBO terms.
+
+    y_hat (B, 1) predicts the outcome at t+1; a_prob and a_logits (B, 1)
+    the treatment.  x_loc_hat (B, K, 5) and x_g_hat (B, 1) predict the
+    covariates of step t+1 in raw units, and are None on a step that
+    decodes none (`CrnModel.decodes`).  kl, recon, g_kl and g_recon are
+    the step's ELBO terms, sums over batch, agents and dims, and are None
+    where the step adds none: only train-mode burn-in steps add them.
+    """
 
     y_hat: object
     a_prob: object
@@ -149,6 +124,13 @@ class StepOutput:
     recon: object = None
     g_kl: object = None
     g_recon: object = None
+
+
+def stacked(steps, name: str) -> np.ndarray:
+    """Detach one StepOutput field of a list of steps into (B, len, ...)
+    float64, skipping the steps where it is None."""
+    return np.stack([getattr(so, name).array for so in steps
+                     if getattr(so, name) is not None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -491,13 +473,14 @@ class CrnModel:
         return x_local, x_global
 
     def rollout(self, leaves, x_local, x_global, treatment, mode: str,
-                rng: Rng | None = None) -> RolloutOutput:
-        """Run one batched episode rollout: `init_state`, then `step` per t.
+                rng: Rng | None = None) -> list[StepOutput]:
+        """Run one batched episode rollout: `init_state`, then `step` per t
+        with treatment column t.  Returns the T steps' `StepOutput`s.
 
         x_local (B, T, K, 5) and x_global (B, T, 1) are raw observed
         covariates; only the burn-in prefix is consumed in free-run steps.
         treatment (B, T) is the exogenous treatment sequence.  mode "train"
-        teacher-forces posterior latents over the burn-in and accumulates
+        teacher-forces posterior latents over the burn-in, whose steps hold
         KL + reconstruction terms; mode "infer" uses the prior throughout.
         Latents are drawn from rng when one is given and the variant is
         variational (`uses_encoder`); otherwise they sit at their means.
@@ -510,42 +493,26 @@ class CrnModel:
         b, n_steps = x_local.shape[0], x_local.shape[1]
         if treatment.shape != (b, n_steps):
             raise ContractError("treatment must be (B, T)")
-
-        gv = self.variant is ModelVariant.GV_CRN
-        out = RolloutOutput([], [], [], [], [], T._lift(0.0), T._lift(0.0),
-                            T._lift(0.0) if gv else None,
-                            T._lift(0.0) if gv else None,
-                            batch_size=b, elbo_steps=0)
-        state = self.init_state(b)
+        state, steps = self.init_state(b), []
         for t in range(n_steps):
             state, so = self.step(leaves, state, t, x_local, x_global,
-                                  treatment, mode, rng)
-            out.y_hat.append(so.y_hat)
-            out.a_prob.append(so.a_prob)
-            out.a_logits.append(so.a_logits)
-            if so.x_loc_hat is not None:
-                out.x_loc_hat.append(so.x_loc_hat)
-                out.x_g_hat.append(so.x_g_hat)
-            for name in ("kl", "recon", "g_kl", "g_recon"):
-                term = getattr(so, name)
-                if term is not None:
-                    total = getattr(out, name + "_sum")
-                    setattr(out, name + "_sum", T.add(total, term))
-            out.elbo_steps += so.recon is not None
-        return out
+                                  treatment[:, t], mode, rng)
+            steps.append(so)
+        return steps
 
     def step(self, leaves, state: RolloutState, t: int, x_local, x_global,
-             treatment, mode: str, rng: Rng | None = None,
+             a_t, mode: str, rng: Rng | None = None,
              latent: StepLatent | None = None):
         """Advance a rollout through step t; returns (next state, StepOutput).
 
-        Arguments are those of `rollout`, already checked; the step samples
-        its latents exactly when `rollout` would.  Step t reads observed
-        covariates only at burn-in steps (and x[t+1] for train-mode
-        posteriors and targets) and treatment only at column t, so rollouts
-        whose treatments agree before s pass the same state into step s;
-        states are never mutated, so such rollouts can share it.  The next
-        state is None after the last step.
+        a_t (B,) is the treatment at step t; the other arguments are those
+        of `rollout`, already checked.  The step samples its latents exactly
+        when `rollout` would.  Step t reads observed covariates only at
+        burn-in steps (and x[t+1] for train-mode posteriors and targets),
+        and a step's treatment is its own a_t, so rollouts whose treatments
+        agree before s pass the same state into step s; states are never
+        mutated, so such rollouts can share it.  The next state is None
+        after the last step.
 
         Except in rnn_baseline, whose GRU reads the treatment, a step is
         `latent` (treatment-free) followed by `advance`.  Rollouts sharing a
@@ -554,10 +521,10 @@ class CrnModel:
         """
         if self.variant is ModelVariant.RNN_BASELINE:
             return self._baseline_step(leaves, state, t, x_local, x_global,
-                                       treatment, mode)
+                                       a_t, mode)
         if latent is None:
             latent = self.latent(leaves, state, t, x_local, x_global, mode, rng)
-        return self.advance(leaves, latent, t, x_local, x_global, treatment)
+        return self.advance(leaves, latent, t, x_local, x_global, a_t)
 
     def latent(self, leaves, state: RolloutState, t: int, x_local, x_global,
                mode: str, rng: Rng | None = None) -> StepLatent | None:
@@ -650,11 +617,11 @@ class CrnModel:
         return (T.gaussian_sample(mu, sig, rng) if rng is not None else mu), kl
 
     def advance(self, leaves, latent: StepLatent, t: int, x_local,
-                x_global, treatment):
-        """Step t's treatment half: the theory integrator under the
-        treatment's orientation radius (on a step that decodes), the outcome
-        head and the recurrence.  Returns (next state, StepOutput) as `step`
-        does."""
+                x_global, a_t):
+        """Step t's treatment half under the step's treatment a_t (B,): the
+        theory integrator under a_t's orientation radius (on a step that
+        decodes), the outcome head and the recurrence.  Returns (next
+        state, StepOutput) as `step` does."""
         cfg = self.cfg
         n_steps, burn, row = cfg.n_steps, cfg.burn_in, self._row
         state, z = latent.state, latent.z
@@ -662,8 +629,8 @@ class CrnModel:
         x_loc_hat, x_g_hat = latent.out.x_loc_hat, latent.out.x_g_hat
         if latent.theta_prop is not None:
             x_loc_hat, x_g_hat, pos, head = theory_step(
-                latent.theta_prop, pos, head, treatment[:, t], cfg)
-        y = self.outcome_step(leaves, z, state.ctx_g, treatment[:, t:t + 1])
+                latent.theta_prop, pos, head, a_t, cfg)
+        y = self.outcome_step(leaves, z, state.ctx_g, a_t[:, None])
         so = replace(latent.out, y_hat=y, x_loc_hat=x_loc_hat,
                      x_g_hat=x_g_hat)
 
@@ -681,8 +648,7 @@ class CrnModel:
             h_g = self.g_rnn(leaves, T.concat([nxt_g, latent.z_g], 1), h_g)
         return RolloutState(h, h_g, None, nxt_g, pos, head), so
 
-    def _baseline_step(self, leaves, state, t, x_local, x_global, treatment,
-                       mode):
+    def _baseline_step(self, leaves, state, t, x_local, x_global, a_t, mode):
         k = self.cfg.n_agents
         row = self._row
         b = x_local.shape[0]
@@ -690,7 +656,7 @@ class CrnModel:
         if t < self.cfg.burn_in:
             ctx_flat = T._lift((x_local[:, t] * row).reshape(b, k * 5))
             ctx_g = T._lift(x_global[:, t])
-        a_col = treatment[:, t:t + 1]
+        a_col = a_t[:, None]
         inp = T.concat([ctx_flat, ctx_g, T._lift(a_col)], 1)
         h = self.rnn(leaves, inp, state.h)
         x_loc_sc = x_loc_hat = x_g_hat = None
@@ -710,16 +676,6 @@ class CrnModel:
                             x_g_hat), so
 
 
-def treatment_matrix(n: int, n_steps: int, arm: int | None) -> np.ndarray:
-    """(n, T) absorbing treatment rows for one intervention step (None = never)."""
-    a = np.zeros((n, n_steps), dtype=np.float64)
-    if arm is not None:
-        if not (0 <= arm < n_steps):
-            raise ContractError("intervention step outside the episode")
-        a[:, arm:] = 1.0
-    return a
-
-
 def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                 arms: list[int] | None = None, mc_samples: int = 0,
                 seed: int = 0, chunk: int = 32):
@@ -733,18 +689,20 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     factual trajectory works.  mc_samples < 0 and chunk < 1 are
     ContractError.
 
-    Treatment is absorbing and step t reads only treatment[:, :t+1], so an
-    arm starting at s is the never-treated arm until step s.  Per chunk the
-    never-treated trunk is therefore stepped once through all T steps, and
-    each treated arm forks from the trunk's state entering step s and steps
-    only s..T-1: T + sum(T - s) model steps instead of one T-step rollout
-    per arm (29 instead of 84 on the desk world).  Step s's treatment-free
-    half (`CrnModel.latent`: prior, latent draw, decoder and treatment head)
-    reads no treatment either, so the trunk computes it once and every arm
-    forking at s finishes it with `CrnModel.advance`: T + sum(T - s) - A
-    latent halves for A treated arms (24 instead of 29).  Only the current
-    step's latent half is alive.  Deterministic outputs equal the per-arm
-    rollouts bitwise.  With mc_samples > 0 the trunk draws from the
+    Treatment is absorbing and each step takes only its own treatment a_t,
+    so an arm starting at s is the never-treated arm until step s.  Per
+    chunk the never-treated trunk is therefore stepped once through all T
+    steps with a_t = 0, and each treated arm forks from the trunk's state
+    entering step s and steps only s..T-1 with a_t = 1: T + sum(T - s)
+    model steps instead of one T-step rollout per arm (29 instead of 84 on
+    the desk world).  Step s's treatment-free half (`CrnModel.latent`:
+    prior, latent draw, decoder and treatment head) reads no treatment
+    either, so the trunk computes it once and every arm forking at s
+    finishes it with `CrnModel.advance`: T + sum(T - s) - A latent halves
+    for A treated arms (24 instead of 29).  Only the current step's latent
+    half is alive.  A fork's outputs are the trunk's `StepOutput`s before s
+    followed by its own.  Deterministic outputs equal the per-arm rollouts
+    bitwise.  With mc_samples > 0 the trunk draws from the
     never-treated arm's key, so the arms share their latent draws through
     their start step s, whose latent no treatment reaches (common random
     numbers on everything the treatment cannot touch); each treated arm
@@ -804,27 +762,23 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
         y, a_prob, x_loc, x_g = (np.zeros((b,) + full.shape[1:]) for full
                                  in (y_all, a_all, x_loc_all, x_g_all))
 
-        def tail(state, s, a_seq, key):
-            """Steps s..T-1 of the arm with treatments a_seq, from the state
-            at s."""
+        off, on = np.zeros(b), np.ones(b)
+
+        def tail(state, s, key):
+            """Steps s..T-1 of a treated arm, from the state at s."""
             rng, outs = rng_for(key), []
             for t in range(s, n_steps):
-                state, so = model.step(leaves, state, t, xb, gb, a_seq,
-                                       "infer", rng)
+                state, so = model.step(leaves, state, t, xb, gb, on, "infer",
+                                       rng)
                 outs.append(so)
             return outs
 
         def add(ai, outs):
-            def stacked(name):
-                return np.stack([getattr(so, name).array for so in outs
-                                 if getattr(so, name) is not None],
-                                axis=1) / n_pass
-            y[:, ai] += stacked("y_hat")[:, :, 0]
-            a_prob[:, ai] += stacked("a_prob")[:, :, 0]
-            x_loc[:, ai] += stacked("x_loc_hat")
-            x_g[:, ai] += stacked("x_g_hat")
+            y[:, ai] += stacked(outs, "y_hat")[:, :, 0] / n_pass
+            a_prob[:, ai] += stacked(outs, "a_prob")[:, :, 0] / n_pass
+            x_loc[:, ai] += stacked(outs, "x_loc_hat") / n_pass
+            x_g[:, ai] += stacked(outs, "x_g_hat") / n_pass
 
-        never = treatment_matrix(b, n_steps, None)
         for p in range(n_pass):
             rng = rng_for(first_key + p * n_arms + n_arms - 1)
             state, trunk = model.init_state(b), []
@@ -833,12 +787,11 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
                 # half of step t, so only one state and one latent are alive
                 latent = model.latent(leaves, state, t, xb, gb, "infer", rng)
                 for ai in [ai for ai, s in enumerate(arms) if s == t]:
-                    a_seq = treatment_matrix(b, n_steps, t)
-                    fork, so = model.step(leaves, state, t, xb, gb, a_seq,
+                    fork, so = model.step(leaves, state, t, xb, gb, on,
                                           "infer", rng, latent=latent)
-                    add(ai, trunk + [so] + tail(fork, t + 1, a_seq,
+                    add(ai, trunk + [so] + tail(fork, t + 1,
                                                 first_key + p * n_arms + ai))
-                state, so = model.step(leaves, state, t, xb, gb, never,
+                state, so = model.step(leaves, state, t, xb, gb, off,
                                        "infer", rng, latent=latent)
                 trunk.append(so)
             add(n_arms - 1, trunk)

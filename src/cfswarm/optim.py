@@ -127,13 +127,12 @@ def load_checkpoint(stem: str) -> ParamStore:
     """Read <stem>.npz; any other format, or packed arrays that disagree
     with the stored names and shapes, is a ContractError."""
     path = stem + ".npz"
-    arrays, meta = artifact.load(path, _PACKED, CHECKPOINT_FORMAT,
-                                 ("step_count", "meta", "params", "shapes"))
-    names, shapes = meta["params"], meta["shapes"]
-    try:
-        shapes = [tuple(int(d) for d in shape) for shape in shapes]
-    except (TypeError, ValueError) as exc:
-        raise ContractError(f"checkpoint {path!r} has bad shapes") from exc
+    arrays, meta = artifact.load(path, _PACKED, CHECKPOINT_FORMAT, {
+        "step_count": int, "meta": {str: str}, "params": [str],
+        "shapes": [[int]]})
+    if meta["step_count"] < 0:
+        raise ContractError(f"checkpoint {path!r} has a negative step_count")
+    names, shapes = meta["params"], [tuple(sh) for sh in meta["shapes"]]
     if len(shapes) != len(names) or any(d < 0 for sh in shapes for d in sh):
         raise ContractError(f"checkpoint {path!r} has bad shapes")
     if len(set(names)) != len(names):

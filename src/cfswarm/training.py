@@ -52,12 +52,10 @@ class TrainConfig:
 
 def _episode_loss(model: CrnModel, leaves, split: Split, idx, weights,
                   rng: Rng | None):
-    xb = split.x_local[idx].astype(np.float64)
-    gb = split.x_global[idx].astype(np.float64)
+    xb, gb, yb = split.x_local[idx], split.x_global[idx], split.outcome[idx]
     ab = split.treatment[idx].astype(np.float64)
-    yb = split.outcome[idx].astype(np.float64)
-    roll = model.rollout(leaves, xb, gb, ab, "train", rng=rng)
-    return loss_total(roll, xb, gb, yb, ab, weights)
+    steps = model.rollout(leaves, xb, gb, ab, "train", rng=rng)
+    return loss_total(steps, xb, gb, yb, ab, weights)
 
 
 def validation_loss(model: CrnModel, store: ParamStore, split: Split,

@@ -16,7 +16,7 @@ from cfswarm.boids import SimConfig, step
 from cfswarm.data import generate_dataset, ground_truth_ite
 from cfswarm.gradcheck import grl_sign_report, run_gradcheck
 from cfswarm.metrics import compute_metrics, effect_errors, evaluate
-from cfswarm.model import CrnModel, ModelDims, ModelVariant
+from cfswarm.model import CrnModel, ModelDims, ModelVariant, stacked
 from cfswarm.sweep import covariate_tradeoff, default_grid, format_table, \
     sensitivity_sweep
 from cfswarm.training import TrainConfig, train
@@ -159,12 +159,12 @@ def test_criterion_4_permutation_equivariance(shout):
                              treatment, "infer")
         worst = max(
             worst,
-            float(np.max(np.abs(base.stacked("y_hat")
-                                - swap.stacked("y_hat")))),
-            float(np.max(np.abs(base.stacked("a_prob")
-                                - swap.stacked("a_prob")))),
-            float(np.max(np.abs(base.stacked("x_loc_hat")[:, :, perm]
-                                - swap.stacked("x_loc_hat")))))
+            float(np.max(np.abs(stacked(base, "y_hat")
+                                - stacked(swap, "y_hat")))),
+            float(np.max(np.abs(stacked(base, "a_prob")
+                                - stacked(swap, "a_prob")))),
+            float(np.max(np.abs(stacked(base, "x_loc_hat")[:, :, perm]
+                                - stacked(swap, "x_loc_hat")))))
     ok = worst <= 1e-9
     shout(f"criterion 4 (permutation equivariance): "
           f"{'PASS' if ok else 'FAIL'} - worst deviation {worst:.2e} over "

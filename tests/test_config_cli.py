@@ -410,6 +410,47 @@ def test_each_missing_metadata_key_is_contract_error(pipeline, eval_dir,
             loader(tmp_path)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("checkpoint", "params", 3), ("checkpoint", "params", ["w", 1]),
+    ("checkpoint", "meta", []), ("checkpoint", "meta", {"variant": 1}),
+    ("checkpoint", "step_count", "7"), ("checkpoint", "step_count", True),
+    ("checkpoint", "step_count", -1), ("checkpoint", "shapes", [["3"]]),
+    ("dataset", "arms", 5), ("dataset", "arms", ["a"]),
+    ("dataset", "seed", "x"), ("dataset", "untreated_fraction", "0.3"),
+    ("eval dump", "arms", [5, None])])
+def test_malformed_metadata_value_is_contract_error(pipeline, eval_dir,
+                                                    tmp_path, kind, key,
+                                                    value):
+    # unchecked, "params": 3 and "meta": [] raise TypeError and
+    # AttributeError, and "step_count": "7" loads
+    sub, name, loader, _ = ARTIFACTS[kind]
+    src = eval_dir if sub is None else pipeline["root"] / sub
+    arrays, meta = artifact.load(src / name, ())
+    artifact.save(tmp_path / name, arrays, dict(meta, **{key: value}))
+    with pytest.raises(ContractError, match=f"{name}.*{key}"):
+        loader(tmp_path)
+
+
+@pytest.mark.parametrize("file, key, value", [
+    ("ckpt.npz", "meta", []), ("dataset.npz", "arms", 5)])
+def test_malformed_metadata_stops_eval(pipeline, tmp_path, capsys, file, key,
+                                       value):
+    root = pipeline["root"]
+    shutil.copy(root / "dataset" / "dataset.npz", tmp_path / "dataset.npz")
+    shutil.copy(root / "train" / "last.npz", tmp_path / "ckpt.npz")
+    arrays, meta = artifact.load(tmp_path / file, ())
+    artifact.save(tmp_path / file, arrays, dict(meta, **{key: value}))
+    config = tmp_path / "run.ini"
+    config.write_text(Path(pipeline["config"]).read_text().replace(
+        str(root / "dataset"), str(tmp_path)))
+    assert main(["eval", "--config", str(config), "--out",
+                 str(tmp_path / "o"), "--checkpoint",
+                 str(tmp_path / "ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{file}" in err and key in err
+    assert "Traceback" not in err
+
+
 def test_eval_dump_v2_is_contract_error(eval_dir, tmp_path):
     arrays, meta = artifact.load(eval_dir / "dump.npz", ())
     assert meta["format"] == "eval-dump-v3"

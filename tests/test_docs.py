@@ -1,9 +1,11 @@
-"""README claims that the code can check: the command list and the dump table."""
+"""README claims that the code can check: the command list, the dump table
+and the model methods it names."""
 
 import re
 from pathlib import Path
 
 from cfswarm import cli, metrics
+from cfswarm.model import CrnModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -26,3 +28,9 @@ def test_dump_table_names_every_dump_array():
     listed = {name for row in rows
               for name in re.findall(r"`(\w+)`", row.split("|")[1])}
     assert set(metrics._DUMP_ARRAYS) <= listed
+
+
+def test_named_model_methods_exist():
+    named = set(re.findall(r"`CrnModel\.(\w+)", README.read_text()))
+    assert named
+    assert {name for name in named if not hasattr(CrnModel, name)} == set()

@@ -8,10 +8,10 @@ from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ConfigError, ContractError
 from cfswarm.losses import (LossWeights, bce_with_logits, loss_components,
                             loss_total)
-from cfswarm.model import CrnModel, ModelDims, ModelVariant, RolloutOutput
+from cfswarm.model import CrnModel, ModelVariant, StepOutput, stacked
 from cfswarm.rng import Rng, derive_seed
 
-from test_model import SMALL, small_cfg
+from test_model import SMALL, elbo_steps, small_cfg, term_sum
 
 
 def lift_list(arrays):
@@ -55,17 +55,15 @@ def hand_rollout():
     l_y = 1, l_x = 3, l_a = 2, l_elbo = 4, so the 0.1-weighted total is 1.9.
     """
     x_star = -np.log(np.exp(2.0) - 1.0)  # softplus(x) - x == 2 at t == 1
-    roll = RolloutOutput(
-        y_hat=lift_list([[[1.0]], [[1.0]]]),
-        a_prob=lift_list([[[0.5]], [[0.5]]]),
-        a_logits=lift_list([[[x_star]], [[x_star]]]),
-        x_loc_hat=lift_list([np.zeros((1, 1, 5))]),
-        x_g_hat=lift_list([[[0.0]]]),
-        kl_sum=T._lift(3.0),
-        recon_sum=T._lift(5.0),
-        batch_size=1,
-        elbo_steps=2,
-    )
+
+    def step(x_loc_hat, x_g_hat, **elbo):
+        return StepOutput(*lift_list([[[1.0]], [[0.5]], [[x_star]]]),
+                          x_loc_hat, x_g_hat, **elbo)
+
+    # kl sums to 3, recon to 5, over two ELBO steps
+    roll = [step(*lift_list([np.zeros((1, 1, 5)), [[0.0]]]),
+                 kl=T._lift(3.0), recon=T._lift(5.0)),
+            step(None, None, recon=T._lift(0.0))]
     x_local = np.zeros((1, 2, 1, 5))
     x_local[0, 1] = [1.0, 2.0, 2.0, 2.0, 2.0]   # squares sum to 17
     x_global = np.array([[[0.0], [1.0]]])       # adds 1, denom 6 -> l_x = 3
@@ -104,7 +102,7 @@ def test_zero_weights_leave_only_outcome_term():
 
 def test_loss_rejects_length_mismatch():
     roll, x_local, x_global, outcome, treatment = hand_rollout()
-    roll.y_hat.pop()
+    roll.pop()
     with pytest.raises(ContractError):
         loss_components(roll, x_local, x_global, outcome, treatment)
 
@@ -130,22 +128,22 @@ def test_losses_recompute_from_rollout_arrays():
     _, floats = loss_total(roll, x_local, x_global, outcome, treatment,
                            LossWeights())
 
-    y = roll.stacked("y_hat")[:, :, 0]
+    y = stacked(roll, "y_hat")[:, :, 0]
     assert abs(floats["l_y"] - np.mean((y - outcome) ** 2)) < 1e-12
 
-    xh = roll.stacked("x_loc_hat")
-    gh = roll.stacked("x_g_hat")
+    xh = stacked(roll, "x_loc_hat")
+    gh = stacked(roll, "x_g_hat")
     sq = ((xh - x_local[:, 1:]) ** 2).sum() \
         + ((gh - x_global[:, 1:]) ** 2).sum()
     n_x = 3 * (cfg.n_steps - 1) * (cfg.n_agents * 5 + 1)
     assert abs(floats["l_x"] - sq / n_x) < 1e-10 * max(1.0, sq / n_x)
 
-    logits = roll.stacked("a_logits")[:, :, 0]
+    logits = stacked(roll, "a_logits")[:, :, 0]
     bce = np.mean(np.logaddexp(0.0, logits) - logits * treatment)
     assert abs(floats["l_a"] - bce) < 1e-12
 
-    denom = 3 * roll.elbo_steps
-    elbo = (float(roll.recon_sum.array) + float(roll.kl_sum.array)) / denom
+    denom = 3 * elbo_steps(roll)
+    elbo = (term_sum(roll, "recon") + term_sum(roll, "kl")) / denom
     assert abs(floats["l_elbo"] - elbo) < 1e-12
 
 
@@ -172,10 +170,9 @@ def test_gv_variant_adds_global_elbo():
                          rng=Rng(derive_seed(1, "loss")))
     _, floats = loss_total(roll, x_local, x_global, outcome, treatment,
                            LossWeights())
-    denom = 2 * roll.elbo_steps
-    manual = (float(roll.recon_sum.array) + float(roll.kl_sum.array)
-              + float(roll.g_recon_sum.array)
-              + float(roll.g_kl_sum.array)) / denom
+    denom = 2 * elbo_steps(roll)
+    manual = (term_sum(roll, "recon") + term_sum(roll, "kl")
+              + term_sum(roll, "g_recon") + term_sum(roll, "g_kl")) / denom
     assert abs(floats["l_elbo"] - manual) < 1e-12 * max(1.0, abs(manual))
 
 

@@ -11,7 +11,7 @@ from cfswarm.boids import SimConfig, simulate
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.losses import LossWeights, loss_total
 from cfswarm.model import (CrnModel, ModelDims, ModelVariant, predict_ite,
-                           scale_row, theory_step, treatment_matrix)
+                           scale_row, stacked, theory_step)
 from cfswarm.rng import Rng, derive_seed
 from cfswarm.tensor import Tensor
 
@@ -39,6 +39,24 @@ def batch_from_sim(cfg, n, seed=0, intervention=None):
     x_global = np.stack([e.x_global for e in eps]).astype(np.float64)
     treatment = np.stack([e.treatment for e in eps]).astype(np.float64)
     return x_local, x_global, treatment
+
+
+def absorbing(n, n_steps, arm):
+    """(n, T) treatment rows that switch on at step arm (None = never)."""
+    a = np.zeros((n, n_steps))
+    if arm is not None:
+        a[:, arm:] = 1.0
+    return a
+
+
+def term_sum(steps, name):
+    """One ELBO term of a rollout summed over the steps that hold it."""
+    return sum(float(getattr(so, name).array) for so in steps
+               if getattr(so, name) is not None)
+
+
+def elbo_steps(steps):
+    return sum(so.recon is not None for so in steps)
 
 
 # theory integrator ---------------------------------------------------------
@@ -286,9 +304,9 @@ def test_rollout_samples_exactly_when_given_an_rng(variant, monkeypatch):
         monkeypatch.setattr(T, "gaussian_sample", counted)
         roll = model.rollout(store.bind(T.Tape(record=False)), x_local,
                              x_global, treatment, mode, rng=rng)
-        return [roll.stacked(name) for name in
+        return [stacked(roll, name) for name in
                 ("y_hat", "a_prob", "x_loc_hat", "x_g_hat")] + [
-                    float(roll.kl_sum.array), float(roll.recon_sum.array)]
+                    term_sum(roll, "kl"), term_sum(roll, "recon")]
 
     def same(a, b):
         return all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -313,16 +331,17 @@ def test_rollout_output_shapes():
     out = model.rollout(leaves, x_local, x_global, treatment, "train",
                         rng=Rng(0))
     b, t, k = 3, cfg.n_steps, cfg.n_agents
-    assert out.stacked("y_hat").shape == (b, t, 1)
-    assert out.stacked("a_prob").shape == (b, t, 1)
-    assert out.stacked("a_logits").shape == (b, t, 1)
+    assert stacked(out, "y_hat").shape == (b, t, 1)
+    assert stacked(out, "a_prob").shape == (b, t, 1)
+    assert stacked(out, "a_logits").shape == (b, t, 1)
     # train mode decodes every step with a target, t = 0..T-2
-    assert out.stacked("x_loc_hat").shape == (b, t - 1, k, 5)
-    assert out.stacked("x_g_hat").shape == (b, t - 1, 1)
-    assert out.batch_size == b
-    y = out.stacked("y_hat")
+    assert stacked(out, "x_loc_hat").shape == (b, t - 1, k, 5)
+    assert stacked(out, "x_g_hat").shape == (b, t - 1, 1)
+    assert len(out) == t
+    assert all(so.y_hat.array.shape == (b, 1) for so in out)
+    y = stacked(out, "y_hat")
     assert np.all(y > 0.0) and np.all(y < 1.0)
-    prob = out.stacked("a_prob")
+    prob = stacked(out, "a_prob")
     assert np.all(prob > 0.0) and np.all(prob < 1.0)
 
 
@@ -332,10 +351,10 @@ def test_variant_gating_tg_skips_elbo():
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=3)
     # TG forces mean latents, so no rng is needed even in train mode
     out = model.rollout(leaves, x_local, x_global, treatment, "train")
-    assert float(out.kl_sum.array) == 0.0
-    assert float(out.recon_sum.array) == 0.0
-    assert out.elbo_steps == 0
-    assert out.g_kl_sum is None and out.g_recon_sum is None
+    assert term_sum(out, "kl") == 0.0
+    assert term_sum(out, "recon") == 0.0
+    assert elbo_steps(out) == 0
+    assert all(so.g_kl is None and so.g_recon is None for so in out)
     assert model.enc_net is None
 
 
@@ -345,10 +364,10 @@ def test_variant_gating_tgv_accumulates_elbo():
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=3)
     out = model.rollout(leaves, x_local, x_global, treatment, "train",
                         rng=Rng(1))
-    assert out.elbo_steps == cfg.burn_in
-    assert float(out.kl_sum.array) > 0.0
-    assert np.isfinite(float(out.recon_sum.array))
-    assert out.g_kl_sum is None and out.g_recon_sum is None
+    assert elbo_steps(out) == cfg.burn_in
+    assert term_sum(out, "kl") > 0.0
+    assert np.isfinite(term_sum(out, "recon"))
+    assert all(so.g_kl is None and so.g_recon is None for so in out)
 
 
 def test_variant_gating_gv_runs_global_branch():
@@ -357,13 +376,13 @@ def test_variant_gating_gv_runs_global_branch():
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=3)
     out = model.rollout(leaves, x_local, x_global, treatment, "train",
                         rng=Rng(1))
-    assert float(out.g_kl_sum.array) > 0.0
-    assert np.isfinite(float(out.g_recon_sum.array))
-    assert out.elbo_steps == cfg.burn_in
+    assert term_sum(out, "g_kl") > 0.0
+    assert np.isfinite(term_sum(out, "g_recon"))
+    assert elbo_steps(out) == cfg.burn_in
     # infer mode leaves the ELBO untouched
     quiet = model.rollout(leaves, x_local, x_global, treatment, "infer")
-    assert float(quiet.kl_sum.array) == 0.0
-    assert quiet.elbo_steps == 0
+    assert term_sum(quiet, "kl") == 0.0
+    assert elbo_steps(quiet) == 0
 
 
 def test_gv_draws_agents_then_global_latent_each_step(monkeypatch):
@@ -396,7 +415,7 @@ def test_rollout_deterministic_given_seed():
         leaves = store.bind(T.Tape(record=False))
         out = model.rollout(leaves, x_local, x_global, treatment, "train",
                             rng=Rng(derive_seed(9, "roll")))
-        return out.stacked("y_hat"), out.stacked("x_loc_hat")
+        return stacked(out, "y_hat"), stacked(out, "x_loc_hat")
 
     y1, x1 = run()
     y2, x2 = run()
@@ -413,8 +432,8 @@ def test_identical_episodes_share_weights_in_batch():
     gb = np.repeat(x_global, 2, axis=0)
     ab = np.repeat(treatment, 2, axis=0)
     out = model.rollout(leaves, xb, gb, ab, "infer")
-    y = out.stacked("y_hat")
-    xh = out.stacked("x_loc_hat")
+    y = stacked(out, "y_hat")
+    xh = stacked(out, "x_loc_hat")
     assert np.array_equal(y[0], y[1])
     assert np.array_equal(xh[0], xh[1])
 
@@ -453,7 +472,7 @@ def test_trace_recon_recomputes_offline(monkeypatch):
         target = x_local[:, t + 1, :, 4:5]
         resid = 0.5 * ((target - mu) / sig) ** 2
         nll += float(np.sum(resid + np.log(sig) + 0.5 * np.log(2 * np.pi)))
-    assert abs(nll - float(out.recon_sum.array)) < 1e-9 * max(1.0, abs(nll))
+    assert abs(nll - term_sum(out, "recon")) < 1e-9 * max(1.0, abs(nll))
     kl = 0.0
     for t in range(cfg.burn_in):
         mu_q, sig_q = heads["enc.gauss"][t]
@@ -461,7 +480,7 @@ def test_trace_recon_recomputes_offline(monkeypatch):
         kl += float(np.sum(np.log(sig_p / sig_q)
                            + (sig_q ** 2 + (mu_q - mu_p) ** 2)
                            / (2.0 * sig_p ** 2) - 0.5))
-    assert abs(kl - float(out.kl_sum.array)) < 1e-9 * max(1.0, abs(kl))
+    assert abs(kl - term_sum(out, "kl")) < 1e-9 * max(1.0, abs(kl))
 
 
 def test_theory_proposal_trace_is_squashed(monkeypatch):
@@ -481,11 +500,11 @@ def test_theory_proposal_trace_is_squashed(monkeypatch):
     for theta in proposals:
         assert np.max(np.abs(theta)) <= np.pi
     # predicted headings stay unit rows and the turn stays inside the limit
-    xh = out.stacked("x_loc_hat")
+    xh = stacked(out, "x_loc_hat")
     norms = np.sqrt((xh[..., 2:4] ** 2).sum(axis=3)) / cfg.speed
     assert np.max(np.abs(norms - 1.0)) < 1e-9
     assert np.max(np.abs(xh[..., 4])) <= cfg.max_turn_rad + 1e-12
-    xg = out.stacked("x_g_hat")
+    xg = stacked(out, "x_g_hat")
     assert np.all(xg >= 0.0) and np.all(xg <= 1.0 + 1e-12)
 
 
@@ -504,12 +523,12 @@ def test_equivariance_under_agent_permutation():
             leaves = store.bind(T.Tape(record=False))
             swap = model.rollout(leaves, x_local[:, :, perm], x_global,
                                  treatment, "infer")
-            assert np.allclose(base.stacked("y_hat"), swap.stacked("y_hat"),
+            assert np.allclose(stacked(base, "y_hat"), stacked(swap, "y_hat"),
                                atol=1e-9)
-            assert np.allclose(base.stacked("a_prob"),
-                               swap.stacked("a_prob"), atol=1e-9)
-            assert np.allclose(base.stacked("x_loc_hat")[:, :, perm],
-                               swap.stacked("x_loc_hat"), atol=1e-9)
+            assert np.allclose(stacked(base, "a_prob"),
+                               stacked(swap, "a_prob"), atol=1e-9)
+            assert np.allclose(stacked(base, "x_loc_hat")[:, :, perm],
+                               stacked(swap, "x_loc_hat"), atol=1e-9)
 
 
 def test_baseline_rollout_shapes_and_determinism():
@@ -518,15 +537,15 @@ def test_baseline_rollout_shapes_and_determinism():
     x_local, x_global, treatment = batch_from_sim(cfg, 2, seed=10,
                                                   intervention=5)
     out = model.rollout(leaves, x_local, x_global, treatment, "train")
-    assert out.stacked("y_hat").shape == (2, cfg.n_steps, 1)
-    assert out.stacked("x_loc_hat").shape == (2, cfg.n_steps - 1,
+    assert stacked(out, "y_hat").shape == (2, cfg.n_steps, 1)
+    assert stacked(out, "x_loc_hat").shape == (2, cfg.n_steps - 1,
                                               cfg.n_agents, 5)
-    assert out.stacked("x_g_hat").shape == (2, cfg.n_steps - 1, 1)
-    assert float(out.kl_sum.array) == 0.0
-    assert out.elbo_steps == 0
+    assert stacked(out, "x_g_hat").shape == (2, cfg.n_steps - 1, 1)
+    assert term_sum(out, "kl") == 0.0
+    assert elbo_steps(out) == 0
     leaves = store.bind(T.Tape(record=False))
     rep = model.rollout(leaves, x_local, x_global, treatment, "train")
-    assert np.array_equal(out.stacked("y_hat"), rep.stacked("y_hat"))
+    assert np.array_equal(stacked(out, "y_hat"), stacked(rep, "y_hat"))
 
 
 def test_scale_row_values():
@@ -553,18 +572,7 @@ def test_init_store_deterministic_and_tagged():
     assert baseline.init_store(0).meta["variant"] == "rnn_baseline"
 
 
-# treatment matrix and ITE prediction ---------------------------------------
-
-
-def test_treatment_matrix_absorbing():
-    a = treatment_matrix(3, 6, 2)
-    assert a.shape == (3, 6)
-    assert np.array_equal(a[0], [0, 0, 1, 1, 1, 1])
-    assert np.array_equal(treatment_matrix(2, 4, None), np.zeros((2, 4)))
-    with pytest.raises(ContractError):
-        treatment_matrix(1, 6, 6)
-    with pytest.raises(ContractError):
-        treatment_matrix(1, 6, -1)
+# ITE prediction -------------------------------------------------------------
 
 
 def test_predict_ite_arm_layout():
@@ -725,11 +733,11 @@ def per_arm_reference(model, store, x_local, x_global, arms, chunk):
             leaves = store.bind(T.Tape(record=False))
             roll = model.rollout(
                 leaves, x_local[rows], x_global[rows],
-                treatment_matrix(rows.stop - start, n_steps, arm), "infer")
-            ref["y_all"][rows, ai] = roll.stacked("y_hat")[:, :, 0]
-            ref["a_all"][rows, ai] = roll.stacked("a_prob")[:, :, 0]
-            ref["x_loc_hat"][rows, ai] = roll.stacked("x_loc_hat")
-            ref["x_g_hat"][rows, ai] = roll.stacked("x_g_hat")
+                absorbing(rows.stop - start, n_steps, arm), "infer")
+            ref["y_all"][rows, ai] = stacked(roll, "y_hat")[:, :, 0]
+            ref["a_all"][rows, ai] = stacked(roll, "a_prob")[:, :, 0]
+            ref["x_loc_hat"][rows, ai] = stacked(roll, "x_loc_hat")
+            ref["x_g_hat"][rows, ai] = stacked(roll, "x_g_hat")
     y_final = ref["y_all"][:, :, -1]
     ref["tau_hat"] = y_final[:, :-1] - y_final[:, -1:]
     ref["best_timing"] = np.array(arms)[np.argmax(y_final[:, :-1], axis=1)]
@@ -767,9 +775,9 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
             rng = Rng(derive_seed(seed, "ite-mc", p * n_arms + n_arms - 1))
             roll = model.rollout(
                 leaves, x_local, x_global,
-                treatment_matrix(3, cfg.n_steps, None), "infer", rng=rng)
+                absorbing(3, cfg.n_steps, None), "infer", rng=rng)
             for name in acc:
-                acc[name] = acc[name] + roll.stacked(name) / n_pass
+                acc[name] = acc[name] + stacked(roll, name) / n_pass
         assert np.array_equal(got["y_all"][:, -1], acc["y_hat"][:, :, 0])
         assert np.array_equal(got["a_all"][:, -1], acc["a_prob"][:, :, 0])
         assert np.array_equal(got["x_loc_hat"][:, -1], acc["x_loc_hat"])
