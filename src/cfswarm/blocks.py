@@ -100,7 +100,8 @@ class GnnBlock:
     sum_j (h_kj W1 + b1) = (sum_j h_kj) W1 + (K - 1) b1.  The block therefore
     sums f_e's hidden layer over neighbours first (edge -> aggregate -> node,
     as in Battaglia et al. 2018) and applies W1 once per node, so no
-    per-edge output vector is ever formed.
+    per-edge output vector is ever formed.  The per-edge hidden layer is
+    not kept for backward either: pair_tanh_sum recomputes it there.
     """
 
     def __init__(self, name: str, n_in: int, n_hidden: int, n_edge: int, n_out: int):

@@ -7,7 +7,8 @@ arm's predicted trajectories), gradcheck (finite-difference audit), sweep
 config file; --out (and --checkpoint, which only eval takes) override the
 [paths] section.  Each command writes run_manifest.json with sha256
 checksums of its output files, so identical configs and seeds give
-identical checksums.
+identical checksums, and the peak resident memory of the command and of
+its largest worker process.
 
 Exit codes: 0 success, 1 contract/config error, 2 numeric failure.
 """
@@ -15,6 +16,7 @@ Exit codes: 0 success, 1 contract/config error, 2 numeric failure.
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -50,6 +52,16 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _peak_rss_mib() -> dict:
+    """Peak resident set of this process and of the largest child it has
+    waited for (fork_map's workers), in MiB."""
+    # ru_maxrss is in KiB, and in bytes on macOS
+    unit = 1024.0 ** (2 if sys.platform == "darwin" else 1)
+    return {who: round(resource.getrusage(flag).ru_maxrss / unit, 1)
+            for who, flag in (("caller", resource.RUSAGE_SELF),
+                              ("largest_child", resource.RUSAGE_CHILDREN))}
+
+
 def write_run_manifest(out_dir: Path, command: str, cfg: RunConfig,
                        started: float, extra: dict | None = None) -> Path:
     """Checksum every produced file; the manifest never checksums itself."""
@@ -69,6 +81,7 @@ def write_run_manifest(out_dir: Path, command: str, cfg: RunConfig,
                                         time.gmtime(started)),
         "duration_s": round(time.time() - started, 3),
         "files": files,
+        "peak_rss_mib": _peak_rss_mib(),
     }
     if extra:
         manifest.update(extra)

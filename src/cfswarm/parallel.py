@@ -1,16 +1,59 @@
 """Independent units of work on every free core, as forked processes."""
 
+import ctypes
+import functools
 import os
 import pickle
 import signal
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# (prefix, suffix) of OpenBLAS's thread-count functions: numpy's bundled
+# scipy-openblas build first, then a plain OpenBLAS
+OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", ""))
+
+
+@functools.cache
+def openblas_threads():
+    """(get, set) for the live thread count of the OpenBLAS this process has
+    loaded, found in /proc/self/maps; None where there is no such library."""
+    try:
+        with open("/proc/self/maps") as fh:
+            # address, perms, offset, device, inode, then the path if any
+            rows = [line.split(None, 5) for line in fh]
+    except OSError:
+        return None
+    paths = sorted({row[5].strip() for row in rows if len(row) == 6
+                    and "openblas" in row[5].rsplit("/", 1)[-1]})
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def blas_variable():
+    """The value of the first of BLAS_VARS, in OpenBLAS's order, that is
+    set; None if none is."""
+    return next((os.environ[v] for v in BLAS_VARS if v in os.environ), None)
 
 
 def process_count(n_items: int) -> int:
-    """min(n_items, affinity CPUs // the first of BLAS_VARS, in OpenBLAS's
-    order, that is set); 1 if it is no positive integer or fork is missing."""
-    value = next((os.environ[v] for v in BLAS_VARS if v in os.environ), "")
+    """min(n_items, affinity CPUs // BLAS threads per process).  The threads
+    are blas_variable() where one is set; where none is, 1 if
+    openblas_threads() finds the library (fork_map sets it to one thread
+    while it forks).  1 process if none is set and no library is found, if
+    the value is no positive integer, or if fork is missing."""
+    value = blas_variable()
+    if value is None:
+        value = "1" if openblas_threads() is not None else ""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and value.strip().isdigit() and int(value) >= 1):
         return 1
@@ -21,11 +64,20 @@ def fork_map(fn, items):
     """[fn(x) for x in items] on process_count processes: this one runs the
     first share of the sequence, a forked child each other.  A child's
     exception is raised here, one that sends nothing is a RuntimeError with
-    its exit status, and on a raise the children are killed and reaped."""
+    its exit status, and on a raise the children are killed and reaped.
+    With no BLAS variable set, OpenBLAS runs one thread while it forks and
+    gets its old count back on return and on a raise."""
     n_proc = process_count(len(items))
     cuts = [len(items) * i // n_proc for i in range(n_proc + 1)]
+    # OpenBLAS's own threads beside the children would oversubscribe the
+    # cores; a set BLAS variable is the user's choice and is left alone
+    blas = openblas_threads() \
+        if n_proc > 1 and blas_variable() is None else None
+    threads = blas[0]() if blas else None
     pending = {}   # pid -> read end of its pipe, in share order
     try:
+        if blas:
+            blas[1](1)
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             read, write = os.pipe()
             pid = os.fork()
@@ -60,3 +112,5 @@ def fork_map(fn, items):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if blas:
+            blas[1](threads)

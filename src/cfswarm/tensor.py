@@ -307,13 +307,13 @@ def _bw_gaussian_sample(g, saved):
 
 
 def _bw_pair_tanh_sum(g, saved):
-    (hidden,) = saved
-    k = hidden.shape[1]
-    d = hidden * hidden
+    pk, pj, bias = saved
+    d = _pair_tanh(pk, pj, bias)
+    d *= d
     np.subtract(1.0, d, out=d)
     d *= g[:, :, None, :]
-    # the zeroed diagonal of hidden would pass 1 - 0**2 = 1 through
-    diag = np.arange(k)
+    # the zeroed diagonal of the tanh values would pass 1 - 0**2 = 1 through
+    diag = np.arange(pk.shape[1])
     d[:, diag, diag, :] = 0.0
     g_k = np.einsum("bkjm->bkm", d)
     return (g_k, d.sum(axis=1), g_k.sum(axis=(0, 1)))
@@ -520,13 +520,31 @@ def slice_axis(a, axis: int, start: int, stop: int):
     return _emit("slice", (a,), (a.array.shape, axis, start), out)
 
 
+def _pair_tanh(pk, pj, bias):
+    """tanh(pk[:, k] + pj[:, j] + bias) as a fresh (B, K, K, m) array, with
+    the k = j diagonal zeroed."""
+    b, k, m = pk.shape
+    # pk[:, k] + (pj + bias)[:, j] summed the other way round, which is the
+    # same float add: filling in the j rows first copies K*m values per
+    # inner loop instead of m, about a quarter faster
+    hidden = np.empty((b, k, k, m))
+    hidden[...] = (pj + bias)[:, None, :, :]
+    hidden += pk[:, :, None, :]
+    np.tanh(hidden, out=hidden)
+    diag = np.arange(k)
+    hidden[:, diag, diag, :] = 0.0
+    return hidden
+
+
 def pair_tanh_sum(proj_k, proj_j, b0):
     """Neighbour sum of a pairwise tanh layer.
 
     out[:, k] = sum over j != k of tanh(proj_k[:, k] + proj_j[:, j] + b0).
     proj_k and proj_j are (B, K, m), b0 is (m,); the result is (B, K, m) and
-    is zero when K = 1.  Only the (B, K, K, m) tanh values are saved, with
-    the diagonal zeroed.
+    is zero when K = 1.  Only the three inputs are saved: backward rebuilds
+    the (B, K, K, m) tanh values with the forward's own code, so the tape
+    holds no pair-sized array, and every gradient is bitwise the one that
+    saving the tanh values gave.
     """
     proj_k, proj_j, b0 = _lift(proj_k), _lift(proj_j), _lift(b0)
     pk, pj, bias = proj_k.array, proj_j.array, b0.array
@@ -534,13 +552,9 @@ def pair_tanh_sum(proj_k, proj_j, b0):
         raise DimensionError(
             f"pair_tanh_sum expects (B, K, m), (B, K, m), (m,): "
             f"got {pk.shape}, {pj.shape}, {bias.shape}")
-    hidden = pk[:, :, None, :] + (pj + bias)[:, None, :, :]
-    np.tanh(hidden, out=hidden)
-    diag = np.arange(pk.shape[1])
-    hidden[:, diag, diag, :] = 0.0
     # einsum reduces the middle axis about twice as fast as sum(axis=2)
-    return _emit("pair_tanh_sum", (proj_k, proj_j, b0), (hidden,),
-                 np.einsum("bkjm->bkm", hidden))
+    return _emit("pair_tanh_sum", (proj_k, proj_j, b0), (pk, pj, bias),
+                 np.einsum("bkjm->bkm", _pair_tanh(pk, pj, bias)))
 
 
 # ---------------------------------------------------------------------------

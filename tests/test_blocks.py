@@ -197,17 +197,18 @@ def test_gnn_batched_equals_per_sample():
         assert np.max(np.abs(got[i] - single[0])) < 1e-12
 
 
-def test_gnn_saves_one_pair_array_and_no_edge_tensor():
-    # f_e's output layer runs after aggregation, so the only pair-sized
-    # array on the tape is the hidden layer of the fused op
+def test_gnn_saves_no_pair_sized_array():
+    # f_e's output layer runs after aggregation, and the fused op rebuilds
+    # its hidden layer in backward, so the tape holds no (B, K, K, .) array
     block = GnnBlock("n", n_in=3, n_hidden=5, n_edge=4, n_out=2)
     store = build(block, seed=7)
     tape = T.Tape()
     block(store.bind(tape), Rng(8).uniform_array((2, 6, 3), -1.0, 1.0))
     shapes = [a.shape for node in tape.nodes for a in node.saved
               if isinstance(a, np.ndarray)]
-    assert shapes.count((2, 6, 6, 5)) == 1
+    assert shapes.count((2, 6, 6, 5)) == 0
     assert (2, 6, 6, 4) not in shapes
+    assert not [s for s in shapes if len(s) == 4 and s[:3] == (2, 6, 6)]
 
 
 def test_flat_block_not_equivariant_but_shaped():

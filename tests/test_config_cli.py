@@ -192,6 +192,8 @@ def test_gen_writes_dataset_and_manifest(pipeline):
     assert "dataset.npz" in info["files"]
     assert all(len(digest) == 64 for digest in info["files"].values())
     assert "run_manifest.json" not in info["files"]
+    assert set(info["peak_rss_mib"]) == {"caller", "largest_child"}
+    assert info["peak_rss_mib"]["caller"] > 10.0
 
 
 def test_gen_rerun_is_checksum_identical(pipeline, tmp_path):

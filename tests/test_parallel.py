@@ -2,7 +2,10 @@
 count, errors carried back from children, and no child left behind."""
 
 import dataclasses
+import json
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -26,6 +29,14 @@ TINY = Path(__file__).resolve().parents[1] / "configs" / "tiny.ini"
 def use_processes(monkeypatch, count):
     monkeypatch.setattr(parallel, "process_count",
                         lambda n_items: max(1, min(n_items, count)))
+
+
+def blas_env(monkeypatch, env):
+    """Exactly the BLAS variables in env are set."""
+    for var in parallel.BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
 
 
 def assert_no_children():
@@ -61,10 +72,49 @@ def open_fds():
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 0, 1),
 ])
 def test_process_count_rule(monkeypatch, env, cpus, n_items, expected):
-    for var in parallel.BLAS_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+    # the rule where no OpenBLAS thread-count function is found
+    monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
+    blas_env(monkeypatch, env)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert process_count(n_items) == expected
+
+
+class FakeBlas:
+    """Stands in for openblas_threads(): a live count and every set call."""
+
+    def __init__(self, threads):
+        self.threads, self.calls = threads, []
+
+    def get(self):
+        return self.threads
+
+    def set(self, n):
+        self.calls.append(n)
+        self.threads = n
+
+
+def fake_blas(monkeypatch, threads=2):
+    blas = FakeBlas(threads)
+    monkeypatch.setattr(parallel, "openblas_threads",
+                        lambda: (blas.get, blas.set))
+    return blas
+
+
+@pytest.mark.parametrize("env, cpus, n_items, expected", [
+    ({}, 2, 8, 2),
+    ({}, 8, 8, 8),
+    ({}, 8, 3, 3),
+    ({}, 1, 8, 1),
+    ({}, 2, 1, 1),
+    # a set variable still wins
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 1),
+    ({"OMP_NUM_THREADS": "x"}, 2, 8, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 2),
+])
+def test_process_count_rule_with_openblas_found(monkeypatch, env, cpus,
+                                                n_items, expected):
+    fake_blas(monkeypatch)
+    blas_env(monkeypatch, env)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     assert process_count(n_items) == expected
 
@@ -76,6 +126,17 @@ def test_one_process_without_fork_or_affinity(monkeypatch, missing):
     assert process_count(8) == 4
     monkeypatch.delattr(os, missing)
     assert process_count(8) == 1
+
+
+def test_openblas_threads_are_found_where_numpy_loaded_them():
+    # numpy's wheels bundle OpenBLAS; a numpy built on another BLAS finds
+    # nothing, and process_count keeps the variable-only rule
+    blas = parallel.openblas_threads()
+    maps = Path("/proc/self/maps")
+    if not maps.is_file() or "openblas" not in maps.read_text():
+        pytest.skip("numpy loaded no OpenBLAS here")
+    assert blas is not None
+    assert blas[0]() >= 1
 
 
 # fork_map itself --------------------------------------------------------------
@@ -161,6 +222,73 @@ def test_a_raise_in_the_callers_share_reaps_every_child(monkeypatch):
     # the sleeping children were stopped, not waited for
     assert time.monotonic() - began < 30
     assert open_fds() == fds
+    assert_no_children()
+
+
+# 4 items make 2 shares of 2: item 3 fails in the child, item 0 in the caller
+RETURN_OR_RAISE = pytest.mark.parametrize("bad", [None, 3, 0],
+                                          ids=["return", "child", "caller"])
+
+
+def run_or_raise(fn, bad):
+    """fork_map(fn, range(4)) with item bad failing; the values if none did."""
+    def run(x):
+        if x == bad:
+            raise ContractError(f"item {bad}")
+        return fn(x)
+    if bad is None:
+        return fork_map(run, range(4))
+    with pytest.raises(ContractError, match=f"^item {bad}$"):
+        fork_map(run, range(4))
+
+
+@RETURN_OR_RAISE
+def test_fork_map_runs_blas_on_one_thread_and_restores_it(monkeypatch, bad):
+    blas_env(monkeypatch, {})
+    blas = fake_blas(monkeypatch, threads=5)
+    use_processes(monkeypatch, 2)
+    got = run_or_raise(lambda x: (x, blas.threads), bad)
+    if bad is None:
+        # the child's count comes back with its items
+        assert got == [(x, 1) for x in range(4)]
+    assert blas.calls == [1, 5]
+    assert blas.threads == 5
+    assert_no_children()
+
+
+@pytest.mark.parametrize("env, count", [
+    ({}, 1),                                 # nothing forks
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),      # a set variable wins
+    ({"OMP_NUM_THREADS": "2"}, 2),
+])
+def test_fork_map_leaves_blas_alone_unless_it_forks_by_the_new_rule(
+        monkeypatch, env, count):
+    blas_env(monkeypatch, env)
+    blas = fake_blas(monkeypatch, threads=5)
+    use_processes(monkeypatch, count)
+    assert fork_map(lambda x: blas.threads, range(4)) == [5] * 4
+    assert blas.calls == []
+    assert_no_children()
+
+
+@RETURN_OR_RAISE
+def test_fork_map_sets_the_live_openblas_count_and_restores_it(monkeypatch,
+                                                               bad):
+    blas = parallel.openblas_threads()
+    if blas is None:
+        pytest.skip("numpy loaded no OpenBLAS here")
+    get, put = blas
+    blas_env(monkeypatch, {})
+    use_processes(monkeypatch, 2)
+    old = get()
+    try:
+        put(3)
+        got = run_or_raise(lambda x: (x, get()), bad)
+        if bad is None:
+            assert got == [(x, 1) for x in range(4)]
+        assert get() == 3
+    finally:
+        put(old)
     assert_no_children()
 
 
@@ -292,3 +420,19 @@ def test_manifests_record_the_process_count(toy, tmp_path, monkeypatch):
             assert main([command, "--config", toy, "--out", str(out)]) == 0
             manifest = (out / "run_manifest.json").read_text()
             assert f'"processes": {count}' in manifest, (command, count)
+            # the largest child is whatever this process has waited for
+            # so far: after a forked command, at least that command's child
+            peak = json.loads(manifest)["peak_rss_mib"]
+            assert set(peak) == {"caller", "largest_child"}
+            assert peak["caller"] > 10.0
+            if count == 2:
+                assert peak["largest_child"] > 10.0
+    # a fresh process that forks nothing has waited for no child
+    out = tmp_path / "fresh"
+    serial = ("import sys; from cfswarm import cli, parallel; "
+              "parallel.process_count = lambda n_items: 1; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    subprocess.run([sys.executable, "-c", serial, "eval", "--config", toy,
+                    "--out", str(out)], check=True, stdout=subprocess.DEVNULL)
+    peak = json.loads((out / "run_manifest.json").read_text())["peak_rss_mib"]
+    assert peak["largest_child"] == 0.0 < peak["caller"]

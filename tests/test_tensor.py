@@ -364,6 +364,43 @@ def test_every_registered_op_passes_finite_differences():
     assert worst < 1e-4, results
 
 
+def saved_tanh_pair_rule(g, pk, pj, bias):
+    """The forward value and the three gradients of the rule that saved the
+    (B, K, K, m) tanh values in forward: the reference the recomputing
+    backward must match bit for bit."""
+    hidden = pk[:, :, None, :] + (pj + bias)[:, None, :, :]
+    np.tanh(hidden, out=hidden)
+    k = pk.shape[1]
+    diag = np.arange(k)
+    hidden[:, diag, diag, :] = 0.0
+    out = np.einsum("bkjm->bkm", hidden)
+    d = hidden * hidden
+    np.subtract(1.0, d, out=d)
+    d *= g[:, :, None, :]
+    d[:, diag, diag, :] = 0.0
+    g_k = np.einsum("bkjm->bkm", d)
+    return out, (g_k, d.sum(axis=1), g_k.sum(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 6, 20])
+@pytest.mark.parametrize("b", [1, 3])
+def test_pair_tanh_sum_bitwise_equals_the_saved_tensor_rule(b, k):
+    rng = Rng(100 * b + k)
+    pk, pj = (rng.uniform_array((b, k, 5), -2.0, 2.0) for _ in range(2))
+    bias = rng.uniform_array((5,), -1.0, 1.0)
+    g = rng.uniform_array((b, k, 5), -1.0, 1.0)
+    tape = T.Tape()
+    leaves = [leaf(tape, a) for a in (pk, pj, bias)]
+    # the mul passes g to the pair node exactly (1.0 * g)
+    out = T.pair_tanh_sum(*leaves)
+    T.backward(T.tsum(T.mul(out, g)))
+    want_out, want = saved_tanh_pair_rule(g, pk, pj, bias)
+    assert np.array_equal(out.array, want_out)
+    for got, ref in zip((tape.grad(x) for x in leaves), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
 def test_composite_gru_mlp_gradient():
     # composite recurrent + dense chain against finite differences
     rng = Rng(31)
