@@ -229,18 +229,46 @@ def sim_config_from_echo(echo: dict) -> SimConfig:
     return cfg.validate()
 
 
+def _check_shapes(path: str, arrays: dict, cfg: SimConfig,
+                  arms: list[int]) -> None:
+    """Every array's shape follows from its split's episode count n, the
+    stored world's T and K and the arm count; the test split shares the
+    counterfactual set's n, and the arms are the world's starts, then -1."""
+    if arms != cfg.intervention_steps + [NEVER_TREATED]:
+        raise ContractError(
+            f"dataset {path!r} has arms {arms}, but its [sim] needs "
+            f"{cfg.intervention_steps + [NEVER_TREATED]}")
+    t, k = cfg.n_steps, cfg.n_agents
+    tails = {"x_local": (t, k, 5), "x_global": (t, 1), "treatment": (t,),
+             "outcome": (t,), "intervention": ()}
+    leads = {part: arrays[f"{part}_x_local"].shape[:1]
+             for part in ("train", "val")}
+    leads["test"] = arrays["cf_x_local"].shape[:1]
+    leads["cf"] = leads["test"] + (len(arms),)
+    for part, names in _PARTS:
+        for name in names:
+            key, want = f"{part}_{name}", leads[part] + tails[name]
+            if arrays[key].shape != want:
+                raise ContractError(f"dataset {path!r}: {key} has shape "
+                                    f"{arrays[key].shape}, expected {want}")
+
+
 def load_dataset(out_dir: str) -> Dataset:
-    """Read <out_dir>/dataset.npz; floats come back as float64."""
+    """Read <out_dir>/dataset.npz; floats come back as float64.  Arrays
+    whose shapes disagree with each other, with the stored [sim] or with
+    the arms are a ContractError naming the array."""
+    path = os.path.join(out_dir, DATASET_FILE)
     arrays, meta = artifact.load(
-        os.path.join(out_dir, DATASET_FILE),
-        [f"{part}_{name}" for part, names in _PARTS for name in names],
+        path, [f"{part}_{name}" for part, names in _PARTS for name in names],
         DATASET_FORMAT, {"seed": int, "sim": None, "arms": [int],
                          "untreated_fraction": (int, float)})
+    cfg = sim_config_from_echo(meta["sim"])
+    _check_shapes(path, arrays, cfg, meta["arms"])
     arrays = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr
               for key, arr in arrays.items()}
     part = {p: [arrays[f"{p}_{name}"] for name in names] for p, names in _PARTS}
     return Dataset(
-        cfg=sim_config_from_echo(meta["sim"]), seed=meta["seed"],
+        cfg=cfg, seed=meta["seed"],
         train=Split(*part["train"]), val=Split(*part["val"]),
         test=Split(*part["test"]),
         cf=CounterfactualSet(meta["arms"], *part["cf"]),

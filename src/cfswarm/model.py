@@ -366,6 +366,14 @@ def theory_step(theta_prop, positions, headings, a_row, cfg):
     return x_loc_hat, group_spin(new_pos, new_head), new_pos, new_head
 
 
+class _Shapes(dict):
+    """Stands in for a ParamStore in a block's `register`: name -> shape,
+    with no value drawn."""
+
+    def add_uniform(self, name, shape, fan_in, rng):
+        self[name] = tuple(shape)
+
+
 class CrnModel:
     """Variant-parameterized model; parameters live in a ParamStore."""
 
@@ -431,6 +439,26 @@ class CrnModel:
             block.register(store, rng)
         store.meta["variant"] = self.variant.value
         return store
+
+    def check_store(self, store: ParamStore) -> None:
+        """ContractError naming the first parameter the blocks register that
+        the store lacks or holds in another shape, else the first the store
+        holds that no block registers.  Draws no values."""
+        want, v = _Shapes(), self.variant.value
+        for block in self._blocks:
+            block.register(want, None)
+        for name, shape in want.items():
+            if name not in store.params:
+                raise ContractError(
+                    f"parameters do not fit {v}: {name!r} is missing")
+            if store.params[name].shape != shape:
+                raise ContractError(
+                    f"parameters do not fit {v}: {name!r} has shape "
+                    f"{store.params[name].shape}, expected {shape}")
+        extra = [name for name in store.params if name not in want]
+        if extra:
+            raise ContractError(f"parameters do not fit {v}: {extra[0]!r} "
+                                f"is not one of its parameters")
 
     def outcome_step(self, leaves, z, x_g, a_col):
         """Outcome probability (B, 1) from the agent-pooled latent, the
@@ -686,8 +714,9 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     case that many sampled rollouts are averaged.  A variant that draws
     nothing (not `uses_encoder`) runs one pass whatever mc_samples says.
     Only the burn-in prefix of x_local/x_global is consumed, so any arm's
-    factual trajectory works.  mc_samples < 0 and chunk < 1 are
-    ContractError.
+    factual trajectory works.  mc_samples < 0, chunk < 1 and a store
+    whose parameter names and shapes are not the model's
+    (`CrnModel.check_store`) are ContractError.
 
     Treatment is absorbing and each step takes only its own treatment a_t,
     so an arm starting at s is the never-treated arm until step s.  Per
@@ -727,6 +756,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     if mc_samples < 0 or chunk < 1:
         raise ContractError(f"predict_ite needs mc_samples >= 0 and chunk "
                             f">= 1, got {mc_samples} and {chunk}")
+    model.check_store(store)
     x_local, x_global = model._checked_inputs(x_local, x_global)
     n, n_steps = x_local.shape[0], x_local.shape[1]
     arms = list(cfg.intervention_steps if arms is None else arms)

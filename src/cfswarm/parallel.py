@@ -6,7 +6,6 @@ import os
 import pickle
 import signal
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # (prefix, suffix) of OpenBLAS's thread-count functions: numpy's bundled
 # scipy-openblas build first, then a plain OpenBLAS
 OPENBLAS_NAMES = (("scipy_openblas_", "64_"), ("openblas_", ""))
@@ -39,25 +38,15 @@ def openblas_threads():
     return None
 
 
-def blas_variable():
-    """The value of the first of BLAS_VARS, in OpenBLAS's order, that is
-    set; None if none is."""
-    return next((os.environ[v] for v in BLAS_VARS if v in os.environ), None)
-
-
 def process_count(n_items: int) -> int:
-    """min(n_items, affinity CPUs // BLAS threads per process).  The threads
-    are blas_variable() where one is set; where none is, 1 if
-    openblas_threads() finds the library (fork_map sets it to one thread
-    while it forks).  1 process if none is set and no library is found, if
-    the value is no positive integer, or if fork is missing."""
-    value = blas_variable()
-    if value is None:
-        value = "1" if openblas_threads() is not None else ""
+    """min(n_items, affinity CPUs) where openblas_threads() finds numpy's
+    OpenBLAS and os has fork and sched_getaffinity; 1 otherwise.  fork_map
+    holds that OpenBLAS at one thread while it forks, so each process runs
+    one thread."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and value.strip().isdigit() and int(value) >= 1):
+            and openblas_threads() is not None):
         return 1
-    return max(1, min(n_items, len(os.sched_getaffinity(0)) // int(value)))
+    return max(1, min(n_items, len(os.sched_getaffinity(0))))
 
 
 def fork_map(fn, items):
@@ -65,14 +54,12 @@ def fork_map(fn, items):
     first share of the sequence, a forked child each other.  A child's
     exception is raised here, one that sends nothing is a RuntimeError with
     its exit status, and on a raise the children are killed and reaped.
-    With no BLAS variable set, OpenBLAS runs one thread while it forks and
-    gets its old count back on return and on a raise."""
+    Whenever it forks, OpenBLAS runs one thread, and it gets its old count
+    back on return and on a raise."""
     n_proc = process_count(len(items))
     cuts = [len(items) * i // n_proc for i in range(n_proc + 1)]
-    # OpenBLAS's own threads beside the children would oversubscribe the
-    # cores; a set BLAS variable is the user's choice and is left alone
-    blas = openblas_threads() \
-        if n_proc > 1 and blas_variable() is None else None
+    # OpenBLAS's own threads beside the children would oversubscribe the cores
+    blas = openblas_threads() if n_proc > 1 else None
     threads = blas[0]() if blas else None
     pending = {}   # pid -> read end of its pipe, in share order
     try:

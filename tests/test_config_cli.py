@@ -23,7 +23,7 @@ from cfswarm.data import load_dataset
 from cfswarm.errors import ConfigError, ContractError
 from cfswarm.metrics import read_eval_dump
 from cfswarm.model import ModelVariant
-from cfswarm.optim import load_checkpoint
+from cfswarm.optim import load_checkpoint, save_checkpoint
 
 
 TOY_INI = """\
@@ -494,6 +494,115 @@ def test_eval_rejects_corrupt_checkpoint(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "CRC" in err
     assert "Traceback" not in err
+
+
+def run_on_edited_copies(pipeline, tmp_path, capsys, command,
+                         edit_dataset=None, edit_store=None,
+                         variant="tg_crn"):
+    """Run command on copies of the pipeline's dataset and last checkpoint,
+    after edit_dataset(arrays, meta) and edit_store(store) change them, with
+    the config asking for variant; returns (exit code, stderr)."""
+    root = pipeline["root"]
+    arrays, meta = artifact.load(root / "dataset" / "dataset.npz", ())
+    if edit_dataset:
+        edit_dataset(arrays, meta)
+    artifact.save(tmp_path / "dataset.npz", arrays, meta)
+    store = load_checkpoint(str(root / "train" / "last"))
+    if edit_store:
+        edit_store(store)
+    save_checkpoint(store, str(tmp_path / "ckpt"))
+    config = tmp_path / "run.ini"
+    config.write_text(Path(pipeline["config"]).read_text()
+                      .replace(str(root / "dataset"), str(tmp_path))
+                      .replace("variant = tg_crn", f"variant = {variant}"))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o")]
+    if command == "eval":
+        argv += ["--checkpoint", str(tmp_path / "ckpt")]
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
+def cut_rows(*names):
+    def edit(arrays, meta):
+        for name in names:
+            arrays[name] = arrays[name][:-1]
+    return edit
+
+
+def set_arms(arms):
+    def edit(arrays, meta):
+        meta["arms"] = arms
+    return edit
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("train", cut_rows("train_treatment"), "train_treatment"),
+    ("train", cut_rows("val_x_global"), "val_x_global"),
+    ("eval", cut_rows("test_outcome"), "test_outcome"),
+    ("eval", cut_rows(*(f"test_{name}" for name in (
+        "x_local", "x_global", "treatment", "outcome", "intervention"))),
+     "test_x_local"),
+    ("eval", set_arms([6, 5, 7, -1]), "arms"),
+    ("eval", set_arms([5, 6, -1]), "arms"),
+], ids=["train_treatment-cut", "val_x_global-cut", "test_outcome-cut",
+        "test-split-cut", "arms-reordered", "arms-short"])
+def test_inconsistent_dataset_stops_command(pipeline, tmp_path, capsys,
+                                            command, edit, named):
+    # unchecked, the train and val cuts end in an IndexError, the one-row
+    # test outcome and a whole test split one episode short broadcast into
+    # wrong metrics (exit 0), reordered arms score each arm against
+    # another's truth, and a short arm list fails with a message that
+    # names no file
+    code, err = run_on_edited_copies(pipeline, tmp_path, capsys, command,
+                                     edit_dataset=edit)
+    assert code == 1
+    assert err.startswith("error:") and "dataset.npz" in err and named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
+def drop_param(name):
+    def edit(store):
+        for table in (store.params, store.adam_m, store.adam_v):
+            del table[name]
+    return edit
+
+
+def reshape_param(name, shape):
+    def edit(store):
+        store.params[name] = T.Tensor(np.zeros(shape))
+        store.adam_m[name] = store.adam_v[name] = np.zeros(shape)
+    return edit
+
+
+def clear_meta(store):
+    store.meta = {}
+
+
+@pytest.mark.parametrize("edit, variant, fragment", [
+    (None, "tg_crn", None),
+    (drop_param("prior.gauss.bmu"), "tg_crn", "'prior.gauss.bmu' is missing"),
+    (reshape_param("mlp_y.b1", (3,)), "tg_crn",
+     "'mlp_y.b1' has shape (3,), expected (1,)"),
+    # a tg_crn store without its variant tag, asked to run as tgv_crn
+    (clear_meta, "tgv_crn", "'enc.fe.w0' is missing"),
+    (lambda store: store.add("stray", np.zeros(2)), "tg_crn",
+     "'stray' is not one of its parameters"),
+], ids=["intact", "missing", "misshapen", "untagged-variant", "extra"])
+def test_checkpoint_that_does_not_fit_the_model_stops_eval(
+        pipeline, tmp_path, capsys, edit, variant, fragment):
+    # unchecked, these end in a KeyError traceback, a silently broadcast
+    # output (exit 0), a tgv_crn run of tg_crn weights, and an ignored
+    # parameter
+    code, err = run_on_edited_copies(pipeline, tmp_path, capsys, "eval",
+                                     edit_store=edit, variant=variant)
+    if fragment is None:
+        assert code == 0
+        return
+    assert code == 1
+    assert err.startswith("error:") and variant in err and fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_sweep_with_grid_file(pipeline, tmp_path, capsys):

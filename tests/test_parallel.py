@@ -31,9 +31,13 @@ def use_processes(monkeypatch, count):
                         lambda n_items: max(1, min(n_items, count)))
 
 
+# the variables OpenBLAS reads its thread count from; fork_map reads none
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def blas_env(monkeypatch, env):
     """Exactly the BLAS variables in env are set."""
-    for var in parallel.BLAS_VARS:
+    for var in BLAS_VARS:
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
@@ -54,25 +58,25 @@ def open_fds():
 
 @pytest.mark.parametrize("env, cpus, n_items, expected", [
     ({}, 2, 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 1),
-    ({"OMP_NUM_THREADS": "1"}, 2, 8, 2),
-    ({"GOTO_NUM_THREADS": "1"}, 2, 8, 2),
+    ({"OMP_NUM_THREADS": "1"}, 2, 8, 1),
+    ({"GOTO_NUM_THREADS": "1"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "0"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "x"}, 2, 8, 1),
     ({"OMP_NUM_THREADS": "x"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2, 2),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 2, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 8, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "3"}, 2, 8, 1),
-    # OpenBLAS reads its own variable first, OpenMP's last
     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 8, 1),
     ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 8, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 1, 1),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 0, 1),
 ])
 def test_process_count_rule(monkeypatch, env, cpus, n_items, expected):
-    # the rule where no OpenBLAS thread-count function is found
+    # where no OpenBLAS thread-count function is found, one process,
+    # whatever the BLAS variables say
     monkeypatch.setattr(parallel, "openblas_threads", lambda: None)
     blas_env(monkeypatch, env)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -106,9 +110,9 @@ def fake_blas(monkeypatch, threads=2):
     ({}, 8, 3, 3),
     ({}, 1, 8, 1),
     ({}, 2, 1, 1),
-    # a set variable still wins
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 1),
-    ({"OMP_NUM_THREADS": "x"}, 2, 8, 1),
+    # a set variable changes nothing
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, 8, 2),
+    ({"OMP_NUM_THREADS": "x"}, 2, 8, 2),
     ({"OPENBLAS_NUM_THREADS": "1"}, 2, 8, 2),
 ])
 def test_process_count_rule_with_openblas_found(monkeypatch, env, cpus,
@@ -121,7 +125,7 @@ def test_process_count_rule_with_openblas_found(monkeypatch, env, cpus,
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
 def test_one_process_without_fork_or_affinity(monkeypatch, missing):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    fake_blas(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     assert process_count(8) == 4
     monkeypatch.delattr(os, missing)
@@ -130,7 +134,7 @@ def test_one_process_without_fork_or_affinity(monkeypatch, missing):
 
 def test_openblas_threads_are_found_where_numpy_loaded_them():
     # numpy's wheels bundle OpenBLAS; a numpy built on another BLAS finds
-    # nothing, and process_count keeps the variable-only rule
+    # nothing, and process_count gives one process
     blas = parallel.openblas_threads()
     maps = Path("/proc/self/maps")
     if not maps.is_file() or "openblas" not in maps.read_text():
@@ -244,21 +248,24 @@ def run_or_raise(fn, bad):
 
 @RETURN_OR_RAISE
 def test_fork_map_runs_blas_on_one_thread_and_restores_it(monkeypatch, bad):
-    blas_env(monkeypatch, {})
     blas = fake_blas(monkeypatch, threads=5)
     use_processes(monkeypatch, 2)
-    got = run_or_raise(lambda x: (x, blas.threads), bad)
-    if bad is None:
-        # the child's count comes back with its items
-        assert got == [(x, 1) for x in range(4)]
-    assert blas.calls == [1, 5]
-    assert blas.threads == 5
-    assert_no_children()
+    # a set variable changes nothing
+    for env in ({}, {"OPENBLAS_NUM_THREADS": "2"}):
+        blas_env(monkeypatch, env)
+        blas.calls = []
+        got = run_or_raise(lambda x: (x, blas.threads), bad)
+        if bad is None:
+            # the child's count comes back with its items
+            assert got == [(x, 1) for x in range(4)], env
+        assert blas.calls == [1, 5], env
+        assert blas.threads == 5, env
+        assert_no_children()
 
 
 @pytest.mark.parametrize("env, count", [
     ({}, 1),                                 # nothing forks
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2),      # a set variable wins
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2),      # a set variable changes nothing
     ({"OMP_NUM_THREADS": "2"}, 2),
 ])
 def test_fork_map_leaves_blas_alone_unless_it_forks_by_the_new_rule(
@@ -266,8 +273,10 @@ def test_fork_map_leaves_blas_alone_unless_it_forks_by_the_new_rule(
     blas_env(monkeypatch, env)
     blas = fake_blas(monkeypatch, threads=5)
     use_processes(monkeypatch, count)
-    assert fork_map(lambda x: blas.threads, range(4)) == [5] * 4
-    assert blas.calls == []
+    threads = 5 if count == 1 else 1
+    assert fork_map(lambda x: blas.threads, range(4)) == [threads] * 4
+    assert blas.calls == ([] if count == 1 else [1, 5])
+    assert blas.threads == 5
     assert_no_children()
 
 
