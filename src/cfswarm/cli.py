@@ -131,8 +131,7 @@ def cmd_gen(cfg: RunConfig, args) -> int:
     if not out:
         raise ConfigError("gen needs --out or [paths] dataset_dir")
     ds = generate_dataset(cfg.sim, cfg.data.n_train, cfg.data.n_val,
-                          cfg.data.n_test, seed=cfg.data.seed,
-                          untreated_fraction=cfg.data.untreated_fraction)
+                          cfg.data.n_test, seed=cfg.data.seed)
     save_dataset(ds, str(out))
     tau, _ = ground_truth_ite(ds.cf)
     write_run_manifest(Path(out), "gen", cfg, started)

@@ -25,13 +25,10 @@ class DataConfig:
     n_val: int = 200
     n_test: int = 200
     seed: int = 0
-    untreated_fraction: float = 1.0 / 3.0
 
     def validate(self) -> "DataConfig":
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("every split needs at least one episode")
-        if not (0.0 <= self.untreated_fraction < 1.0):
-            raise ConfigError("untreated_fraction must lie in [0, 1)")
         return self
 
 
@@ -106,14 +103,12 @@ def _apply(obj, section: str, items: dict[str, str]) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {str(path)!r} does not exist")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse {str(path)!r}: {exc}") from exc
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"cannot read {str(path)!r}: {exc}") from exc
     cfg = RunConfig()
     known = {"sim", "data", "model", "train", "eval", "paths"}
     unknown = set(parser.sections()) - known

@@ -1,6 +1,8 @@
 """Dataset assembly: factual splits, counterfactual test rollouts and the
-on-disk format (one ``dataset.npz`` holding float32 covariates and outcomes,
-uint8 treatments and int32 intervention steps; see ``artifact``).
+on-disk format (one ``dataset.npz`` of float32 covariates and outcomes and
+int32 intervention steps; see ``artifact``).  The file stores each fact
+once: `load_dataset` rebuilds the treatments (`absorbing`), the arms and
+the factual test split (`_test_split`) as generation builds them.
 
 Episodes are simulated in chunks, each the rows of one `simulate_batch`
 loop: at most CHUNK = 128 episodes and at most 2 CHUNK rows, counting an
@@ -32,6 +34,7 @@ from .errors import ConfigError, ContractError
 from .rng import Rng, derive_seed, derive_seeds
 
 NEVER_TREATED = -1
+UNTREATED_FRACTION = 1.0 / 3.0  # share of factual episodes never treated
 CHUNK = 128  # episodes per simulation batch
 
 
@@ -76,22 +79,26 @@ class Dataset:
     val: Split
     test: Split
     cf: CounterfactualSet
-    untreated_fraction: float = 1.0 / 3.0
 
 
-def _assign(cfg: SimConfig, seed: int, name: str, n: int,
-            untreated_fraction: float) -> np.ndarray:
+def absorbing(starts, n_steps: int) -> np.ndarray:
+    """(..., n_steps) uint8 treatment: 1 from each start on, 0 if never."""
+    starts = np.asarray(starts)[..., None]
+    return ((np.arange(n_steps) >= starts) & (starts >= 0)).astype(np.uint8)
+
+
+def _assign(cfg: SimConfig, seed: int, name: str, n: int) -> np.ndarray:
     """Factual treatment start of each episode (NEVER_TREATED or a step)."""
     steps = np.array(cfg.intervention_steps, dtype=np.int32)
     # episode i reads uniforms 2i and 2i + 1 of the split's stream
     u = Rng(derive_seed(seed, f"assign/{name}")).uniforms(2 * n).reshape(n, 2)
     pick = np.minimum((u[:, 1] * len(steps)).astype(np.int64), len(steps) - 1)
-    return np.where(u[:, 0] < untreated_fraction, np.int32(NEVER_TREATED),
+    return np.where(u[:, 0] < UNTREATED_FRACTION, np.int32(NEVER_TREATED),
                     steps[pick])
 
 
 def _simulate(cfg: SimConfig, seed: int, name: str, starts, forks=()):
-    """(x_local, x_global, treatment, outcome) of episodes `name`/0..n-1.
+    """(x_local, x_global, outcome) of episodes `name`/0..n-1.
 
     Arrays are (n, arms, T, ...): `forks` in order, then each episode's own
     start.  Each chunk (CHUNK episodes, fewer where their arms would pass
@@ -100,7 +107,7 @@ def _simulate(cfg: SimConfig, seed: int, name: str, starts, forks=()):
     """
     n, n_arms, t = len(starts), len(forks) + 1, cfg.n_steps
     out = (np.empty((n, n_arms, t, cfg.n_agents, 5)), np.empty((n, n_arms, t, 1)),
-           np.empty((n, n_arms, t), dtype=np.uint8), np.empty((n, n_arms, t)))
+           np.empty((n, n_arms, t)))
     chunk = min(CHUNK, max(1, 2 * CHUNK // n_arms))
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -111,38 +118,39 @@ def _simulate(cfg: SimConfig, seed: int, name: str, starts, forks=()):
         # the float64 arrays hold the float32 values exactly
         out[0][lo:hi] = rows.x_local.astype("<f4")
         out[1][lo:hi] = rows.x_global.astype("<f4")
-        out[2][lo:hi] = rows.treatment
-        out[3][lo:hi] = rows.outcome.astype("<f4")
+        out[2][lo:hi] = rows.outcome.astype("<f4")
     return out
 
 
-def _factual_split(cfg: SimConfig, seed: int, name: str, n: int,
-                   untreated_fraction: float) -> Split:
-    intervention = _assign(cfg, seed, name, n, untreated_fraction)
+def _split(x_local, x_global, outcome, intervention) -> Split:
+    return Split(x_local, x_global, absorbing(intervention, outcome.shape[-1]),
+                 outcome, intervention)
+
+
+def _factual_split(cfg: SimConfig, seed: int, name: str, n: int) -> Split:
+    intervention = _assign(cfg, seed, name, n)
     starts = [None if a == NEVER_TREATED else int(a) for a in intervention]
     arrays = _simulate(cfg, seed, name, starts)
-    return Split(*(a[:, 0] for a in arrays), intervention)
+    return _split(*(a[:, 0] for a in arrays), intervention)
 
 
-def _counterfactual_set(cfg: SimConfig, seed: int, n: int) -> CounterfactualSet:
-    """Every test episode's untreated run plus a fork at each start."""
-    steps = cfg.intervention_steps
-    return CounterfactualSet(steps + [NEVER_TREATED],
-                             *_simulate(cfg, seed, "test", [None] * n, steps))
+def _counterfactual_set(cfg, x_local, x_global, outcome) -> CounterfactualSet:
+    """The arms of (n, A, T, ...) arrays: the window's starts, then never."""
+    arms = cfg.intervention_steps + [NEVER_TREATED]
+    treatment = absorbing(np.tile(arms, (len(outcome), 1)), cfg.n_steps)
+    return CounterfactualSet(arms, x_local, x_global, treatment, outcome)
 
 
-def _test_split(cf: CounterfactualSet, cfg: SimConfig, seed: int,
-                untreated_fraction: float) -> Split:
+def _test_split(cf: CounterfactualSet, intervention: np.ndarray) -> Split:
     """The factual test split: each episode's assigned counterfactual arm."""
-    intervention = _assign(cfg, seed, "test", cf.n, untreated_fraction)
     rows = np.arange(cf.n)
     arm = [cf.arms.index(int(a)) for a in intervention]
-    return Split(cf.x_local[rows, arm], cf.x_global[rows, arm],
-                 cf.treatment[rows, arm], cf.outcome[rows, arm], intervention)
+    return _split(cf.x_local[rows, arm], cf.x_global[rows, arm],
+                  cf.outcome[rows, arm], intervention)
 
 
 def generate_dataset(cfg: SimConfig, n_train: int, n_val: int, n_test: int,
-                     seed: int, untreated_fraction: float = 1.0 / 3.0) -> Dataset:
+                     seed: int) -> Dataset:
     """Simulate every split plus the test counterfactual arms.
 
     Episode seeds are derived from (seed, split, index), so any subset can be
@@ -151,17 +159,15 @@ def generate_dataset(cfg: SimConfig, n_train: int, n_val: int, n_test: int,
     cfg.validate()
     if min(n_train, n_val, n_test) < 1:
         raise ConfigError("every split needs at least one episode")
-    if not (0.0 <= untreated_fraction < 1.0):
-        raise ConfigError("untreated_fraction must lie in [0, 1)")
-    cf = _counterfactual_set(cfg, seed, n_test)
+    cf = _counterfactual_set(cfg, *_simulate(
+        cfg, seed, "test", [None] * n_test, cfg.intervention_steps))
     return Dataset(
         cfg=cfg,
         seed=seed,
-        train=_factual_split(cfg, seed, "train", n_train, untreated_fraction),
-        val=_factual_split(cfg, seed, "val", n_val, untreated_fraction),
-        test=_test_split(cf, cfg, seed, untreated_fraction),
+        train=_factual_split(cfg, seed, "train", n_train),
+        val=_factual_split(cfg, seed, "val", n_val),
+        test=_test_split(cf, _assign(cfg, seed, "test", n_test)),
         cf=cf,
-        untreated_fraction=untreated_fraction,
     )
 
 
@@ -189,11 +195,11 @@ def ground_truth_ite(cf: CounterfactualSet):
 # on-disk format: one <dir>/dataset.npz, floats stored as float32
 
 DATASET_FILE = "dataset.npz"
-DATASET_FORMAT = "trajset-v2"
-_SPLIT_FIELDS = ("x_local", "x_global", "treatment", "outcome", "intervention")
-_CF_FIELDS = ("x_local", "x_global", "treatment", "outcome")
+DATASET_FORMAT = "trajset-v3"
+_SPLIT_FIELDS = ("x_local", "x_global", "outcome", "intervention")
+_CF_FIELDS = ("x_local", "x_global", "outcome")
 _PARTS = (("train", _SPLIT_FIELDS), ("val", _SPLIT_FIELDS),
-          ("test", _SPLIT_FIELDS), ("cf", _CF_FIELDS))
+          ("test", ("intervention",)), ("cf", _CF_FIELDS))
 
 
 def save_dataset(ds: Dataset, out_dir: str) -> list[str]:
@@ -207,10 +213,8 @@ def save_dataset(ds: Dataset, out_dir: str) -> list[str]:
                 arr = arr.astype("<f4")
             arrays[f"{part}_{name}"] = arr
     path = os.path.join(out_dir, DATASET_FILE)
-    artifact.save(path, arrays, {
-        "format": DATASET_FORMAT, "seed": ds.seed,
-        "untreated_fraction": ds.untreated_fraction, "arms": ds.cf.arms,
-        "sim": ds.cfg.echo()})
+    artifact.save(path, arrays, {"format": DATASET_FORMAT, "seed": ds.seed,
+                                 "sim": ds.cfg.echo()})
     return [path]
 
 
@@ -219,8 +223,6 @@ def sim_config_from_echo(echo: dict) -> SimConfig:
     of a config file's [sim] values: a malformed value is a ConfigError."""
     from .config import _apply  # config imports training, which imports data
 
-    if not isinstance(echo, dict):
-        raise ConfigError("dataset metadata 'sim' is not a map")
     cfg = SimConfig()
     for f in SimConfig.__dataclass_fields__:
         if f not in echo:
@@ -229,47 +231,48 @@ def sim_config_from_echo(echo: dict) -> SimConfig:
     return cfg.validate()
 
 
-def _check_shapes(path: str, arrays: dict, cfg: SimConfig,
-                  arms: list[int]) -> None:
-    """Every array's shape follows from its split's episode count n, the
-    stored world's T and K and the arm count; the test split shares the
-    counterfactual set's n, and the arms are the world's starts, then -1."""
-    if arms != cfg.intervention_steps + [NEVER_TREATED]:
-        raise ContractError(
-            f"dataset {path!r} has arms {arms}, but its [sim] needs "
-            f"{cfg.intervention_steps + [NEVER_TREATED]}")
+def _check_shapes(path: str, arrays: dict, cfg: SimConfig) -> None:
+    """Every array's shape follows from its split's episode count n and the
+    stored world's T, K and arm count; the test starts share the
+    counterfactual set's n.  Every start is an integer in the world's
+    window or NEVER_TREATED."""
     t, k = cfg.n_steps, cfg.n_agents
-    tails = {"x_local": (t, k, 5), "x_global": (t, 1), "treatment": (t,),
-             "outcome": (t,), "intervention": ()}
+    starts = cfg.intervention_steps + [NEVER_TREATED]
+    tails = {"x_local": (t, k, 5), "x_global": (t, 1), "outcome": (t,),
+             "intervention": ()}
     leads = {part: arrays[f"{part}_x_local"].shape[:1]
              for part in ("train", "val")}
     leads["test"] = arrays["cf_x_local"].shape[:1]
-    leads["cf"] = leads["test"] + (len(arms),)
+    leads["cf"] = leads["test"] + (len(starts),)
     for part, names in _PARTS:
         for name in names:
             key, want = f"{part}_{name}", leads[part] + tails[name]
             if arrays[key].shape != want:
                 raise ContractError(f"dataset {path!r}: {key} has shape "
                                     f"{arrays[key].shape}, expected {want}")
+    for key in ("train_intervention", "val_intervention", "test_intervention"):
+        if arrays[key].dtype.kind not in "iu" or \
+                not np.isin(arrays[key], starts).all():
+            raise ContractError(f"dataset {path!r}: {key} holds a value that "
+                                f"is not an integer in {starts}")
 
 
 def load_dataset(out_dir: str) -> Dataset:
-    """Read <out_dir>/dataset.npz; floats come back as float64.  Arrays
-    whose shapes disagree with each other, with the stored [sim] or with
-    the arms are a ContractError naming the array."""
+    """Read <out_dir>/dataset.npz; floats come back as float64, and the
+    treatments, arms and factual test split are rebuilt as generation
+    builds them.  Arrays whose shapes disagree with each other or with the
+    stored [sim], or starts outside its window, are a ContractError naming
+    the array."""
     path = os.path.join(out_dir, DATASET_FILE)
     arrays, meta = artifact.load(
         path, [f"{part}_{name}" for part, names in _PARTS for name in names],
-        DATASET_FORMAT, {"seed": int, "sim": None, "arms": [int],
-                         "untreated_fraction": (int, float)})
+        DATASET_FORMAT, {"seed": int, "sim": {str: str}})
     cfg = sim_config_from_echo(meta["sim"])
-    _check_shapes(path, arrays, cfg, meta["arms"])
+    _check_shapes(path, arrays, cfg)
     arrays = {key: arr.astype(np.float64) if arr.dtype == np.float32 else arr
               for key, arr in arrays.items()}
     part = {p: [arrays[f"{p}_{name}"] for name in names] for p, names in _PARTS}
-    return Dataset(
-        cfg=cfg, seed=meta["seed"],
-        train=Split(*part["train"]), val=Split(*part["val"]),
-        test=Split(*part["test"]),
-        cf=CounterfactualSet(meta["arms"], *part["cf"]),
-        untreated_fraction=meta["untreated_fraction"])
+    cf = _counterfactual_set(cfg, *part["cf"])
+    return Dataset(cfg=cfg, seed=meta["seed"], train=_split(*part["train"]),
+                   val=_split(*part["val"]), cf=cf,
+                   test=_test_split(cf, *part["test"]))

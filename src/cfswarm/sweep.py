@@ -12,7 +12,7 @@ import csv
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import _WEIGHT_KEYS, RunConfig, _apply
 from .data import Dataset
 from .errors import ConfigError
 from .losses import LossWeights
@@ -40,24 +40,26 @@ def default_grid() -> list[LossWeights]:
 
 
 def load_grid(path: str | Path) -> list[LossWeights]:
-    """Read a grid file: CSV with header alpha,gamma,lambda."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"grid file {str(path)!r} does not exist")
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = [n.strip() for n in reader.fieldnames or []]
-        if sorted(names) != ["alpha", "gamma", "lambda"]:
-            raise ConfigError(
-                "grid file needs exactly the columns alpha,gamma,lambda")
-        grid = []
-        for row in reader:
-            try:
-                grid.append(LossWeights(alpha=float(row["alpha"]),
-                                        gamma=float(row["gamma"]),
-                                        lam=float(row["lambda"])).validate())
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad grid row {row!r}") from exc
+    """Read a grid file: CSV with header alpha,gamma,lambda, each cell read
+    by the rules of a [train] loss weight."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(
+            f"cannot read grid file {str(path)!r}: {exc}") from exc
+    header = [name.strip() for name in rows[0]] if rows else []
+    if sorted(header) != sorted(_WEIGHT_KEYS):
+        raise ConfigError(
+            "grid file needs exactly the columns alpha,gamma,lambda")
+    grid = []
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ConfigError(f"grid row {row!r} needs {len(header)} cells")
+        weights = LossWeights()
+        _apply(weights, "grid", {key: cell.strip()
+                                 for key, cell in zip(header, row)})
+        grid.append(weights.validate())
     if not grid:
         raise ConfigError("grid file holds no rows")
     return grid

@@ -129,8 +129,8 @@ def test_load_config_weight_aliases(tmp_path):
     ("[data]\nuntreated_fraction = 1.0\n", "untreated_fraction"),
     ("[data]\nn_train = \"x\"\n", "data.n_train must be a number"),
     ("[data]\nn_train = [3]\n", "data.n_train must be a number"),
-    ("[data]\nuntreated_fraction = \"a\"\n",
-     "data.untreated_fraction must be a number"),
+    ("[data]\nuntreated_fraction = 0.5\n",
+     "unknown key 'untreated_fraction' in section [data]"),
     ("[data]\nn_train = True\n", "data.n_train must be a number"),
     ("[sim]\nmax_turn_deg = True\n", "sim.max_turn_deg must be a number"),
     ("[eval]\nchunk = True\n", "eval.chunk must be a number"),
@@ -150,6 +150,24 @@ def test_load_config_rejects(tmp_path, text, fragment):
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "nope.ini"))
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    # read() skips what it cannot open: a directory loaded as the
+    # all-default config, and a \xff byte ended in a UnicodeDecodeError
+    path = tmp_path / "run.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[train]\nepochs = 1\n# \xff\n")
+    with pytest.raises(ConfigError, match="cannot read .*run.ini"):
+        load_config(path)
+    assert main(["gen", "--config", str(path),
+                 "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "run.ini" in err
+    assert "Traceback" not in err
 
 
 def test_require_sim_match_lists_fields():
@@ -391,7 +409,7 @@ def test_nonfinite_input_stops_command(pipeline, tmp_path, capsys, command,
 
 
 REQUIRED_META = {
-    "dataset": ("format", "seed", "sim", "arms", "untreated_fraction"),
+    "dataset": ("format", "seed", "sim"),
     "checkpoint": ("format", "step_count", "meta", "params", "shapes"),
     "eval dump": ("format", "arms"),
 }
@@ -417,9 +435,9 @@ def test_each_missing_metadata_key_is_contract_error(pipeline, eval_dir,
     ("checkpoint", "meta", []), ("checkpoint", "meta", {"variant": 1}),
     ("checkpoint", "step_count", "7"), ("checkpoint", "step_count", True),
     ("checkpoint", "step_count", -1), ("checkpoint", "shapes", [["3"]]),
-    ("dataset", "arms", 5), ("dataset", "arms", ["a"]),
-    ("dataset", "seed", "x"), ("dataset", "untreated_fraction", "0.3"),
-    ("eval dump", "arms", [5, None])])
+    ("dataset", "seed", True), ("dataset", "seed", ["a"]),
+    ("dataset", "seed", "x"), ("dataset", "seed", 0.5),
+    ("eval dump", "arms", [5, None]), ("dataset", "sim", 5)])
 def test_malformed_metadata_value_is_contract_error(pipeline, eval_dir,
                                                     tmp_path, kind, key,
                                                     value):
@@ -434,7 +452,7 @@ def test_malformed_metadata_value_is_contract_error(pipeline, eval_dir,
 
 
 @pytest.mark.parametrize("file, key, value", [
-    ("ckpt.npz", "meta", []), ("dataset.npz", "arms", 5)])
+    ("ckpt.npz", "meta", []), ("dataset.npz", "seed", "5")])
 def test_malformed_metadata_stops_eval(pipeline, tmp_path, capsys, file, key,
                                        value):
     root = pipeline["root"]
@@ -529,30 +547,38 @@ def cut_rows(*names):
     return edit
 
 
-def set_arms(arms):
+def set_sim(key, value):
     def edit(arrays, meta):
-        meta["arms"] = arms
+        meta["sim"][key] = repr(value)
+    return edit
+
+
+def set_values(name, value, dtype=None):
+    def edit(arrays, meta):
+        arrays[name] = np.full_like(arrays[name], value, dtype=dtype)
     return edit
 
 
 @pytest.mark.parametrize("command, edit, named", [
-    ("train", cut_rows("train_treatment"), "train_treatment"),
+    ("train", cut_rows("train_outcome"), "train_outcome"),
     ("train", cut_rows("val_x_global"), "val_x_global"),
-    ("eval", cut_rows("test_outcome"), "test_outcome"),
-    ("eval", cut_rows(*(f"test_{name}" for name in (
-        "x_local", "x_global", "treatment", "outcome", "intervention"))),
-     "test_x_local"),
-    ("eval", set_arms([6, 5, 7, -1]), "arms"),
-    ("eval", set_arms([5, 6, -1]), "arms"),
-], ids=["train_treatment-cut", "val_x_global-cut", "test_outcome-cut",
-        "test-split-cut", "arms-reordered", "arms-short"])
+    ("eval", cut_rows("cf_outcome"), "cf_outcome"),
+    ("eval", cut_rows("test_intervention"), "test_intervention"),
+    # the stored window is one start short of the stored arms
+    ("eval", set_sim("t_i_end", 6), "cf_x_local"),
+    ("eval", set_values("test_intervention", 99), "test_intervention"),
+    ("train", set_values("train_intervention", 4), "train_intervention"),
+    ("train", set_values("val_intervention", 6.0, np.float64),
+     "val_intervention"),
+], ids=["train_outcome-cut", "val_x_global-cut", "cf_outcome-cut",
+        "test-split-cut", "arms-short", "test_intervention-99",
+        "train_intervention-before-window", "val_intervention-float"])
 def test_inconsistent_dataset_stops_command(pipeline, tmp_path, capsys,
                                             command, edit, named):
-    # unchecked, the train and val cuts end in an IndexError, the one-row
-    # test outcome and a whole test split one episode short broadcast into
-    # wrong metrics (exit 0), reordered arms score each arm against
-    # another's truth, and a short arm list fails with a message that
-    # names no file
+    # unchecked, the train and val cuts end in an IndexError, a test split
+    # one episode short broadcasts into wrong metrics (exit 0), a short
+    # window scores each arm against another's truth, and starts outside
+    # the window train on treatments no episode received (exit 0)
     code, err = run_on_edited_copies(pipeline, tmp_path, capsys, command,
                                      edit_dataset=edit)
     assert code == 1
@@ -607,7 +633,8 @@ def test_checkpoint_that_does_not_fit_the_model_stops_eval(
 
 def test_sweep_with_grid_file(pipeline, tmp_path, capsys):
     grid = tmp_path / "grid.csv"
-    grid.write_text("alpha,gamma,lambda\n0.5,0.1,0.1\n")
+    # spaces around the header names and cells are stripped
+    grid.write_text("alpha, gamma, lambda\n0.5, 0.1, 0.1\n")
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", pipeline["config"],
                  "--grid", str(grid), "--out", str(out)])
@@ -619,6 +646,33 @@ def test_sweep_with_grid_file(pipeline, tmp_path, capsys):
     assert len(rows) == 1
     assert float(rows[0]["alpha"]) == 0.5
     assert manifest(out)["command"] == "sweep"
+
+
+@pytest.mark.parametrize("content, fragment", [
+    (b"alpha,gamma,lambda\nnan,0.1,0.1\n", "bad grid.alpha"),
+    (b"alpha,gamma,lambda\n0.1,inf,0.1\n", "bad grid.gamma"),
+    (b"alpha,gamma,lambda\n0.1,0.1,True\n", "grid.lambda must be a number"),
+    (b"alpha,gamma,lambda\n1e400,0.1,0.1\n", "grid.alpha must be finite"),
+    (b"alpha,gamma,lambda\n0.1,0.1\n", "needs 3 cells"),
+    (b"alpha,gamma,lambda\n0.1,0.1,0.1,0.1\n", "needs 3 cells"),
+    (b"alpha,gamma,lambda\n0.1,0.1,\xff\n", "cannot read grid file"),
+    (None, "cannot read grid file"),
+    ("directory", "cannot read grid file"),
+], ids=["nan", "inf", "True", "1e400", "short-row", "long-row", "not-utf8",
+        "missing", "directory"])
+def test_bad_grid_stops_sweep(pipeline, tmp_path, capsys, content, fragment):
+    # unchecked, nan, inf and a row with an extra cell loaded as weights,
+    # and a \xff byte or a directory ended in a traceback
+    grid = tmp_path / "grid.csv"
+    if content == "directory":
+        grid.mkdir()
+    elif content is not None:
+        grid.write_bytes(content)
+    assert main(["sweep", "--config", pipeline["config"],
+                 "--grid", str(grid), "--out", str(tmp_path / "s")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err and "grid" in err
+    assert "Traceback" not in err
 
 
 def test_gradcheck_command(pipeline, tmp_path, capsys):

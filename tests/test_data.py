@@ -1,8 +1,10 @@
+import zipfile
+
 import numpy as np
 import pytest
 
 from cfswarm.boids import SimConfig, simulate
-from cfswarm import data as data_module
+from cfswarm import artifact, data as data_module
 from cfswarm.data import (NEVER_TREATED, generate_dataset, ground_truth_ite,
                           load_dataset, save_dataset, sim_config_from_echo)
 from cfswarm.errors import ConfigError, ContractError
@@ -174,10 +176,12 @@ def per_episode_assign(cfg, seed, name, n, untreated_fraction):
 
 @pytest.mark.parametrize("n", [1, 2, 7, 64, 257])
 @pytest.mark.parametrize("fraction", [0.0, 1.0 / 3.0, 0.5, 0.999])
-def test_vectorized_assignment_equals_per_episode_draws(n, fraction):
+def test_vectorized_assignment_equals_per_episode_draws(n, fraction,
+                                                        monkeypatch):
+    monkeypatch.setattr(data_module, "UNTREATED_FRACTION", fraction)
     for cfg in (small_cfg(), SimConfig()):
         for seed, name in ((0, "train"), (1009, "test")):
-            got = data_module._assign(cfg, seed, name, n, fraction)
+            got = data_module._assign(cfg, seed, name, n)
             want = per_episode_assign(cfg, seed, name, n, fraction)
             assert got.dtype == want.dtype and got.shape == (n,)
             assert got.tobytes() == want.tobytes()
@@ -202,15 +206,15 @@ def test_ground_truth_identical_arms_zero():
     assert np.array_equal(tau, np.zeros((3, 1)))
 
 
-def test_untreated_fraction_respected():
+def test_untreated_fraction_respected(monkeypatch):
     cfg = small_cfg()
-    ds0 = generate_dataset(cfg, 30, 1, 1, seed=7, untreated_fraction=0.0)
+    assert data_module.UNTREATED_FRACTION == 1.0 / 3.0
+    third = generate_dataset(cfg, 200, 1, 1, seed=7)
+    frac = np.mean(third.train.intervention == NEVER_TREATED)
+    assert 0.23 < frac < 0.43
+    monkeypatch.setattr(data_module, "UNTREATED_FRACTION", 0.0)
+    ds0 = generate_dataset(cfg, 30, 1, 1, seed=7)
     assert np.all(ds0.train.intervention >= 0)
-    half = generate_dataset(cfg, 200, 1, 1, seed=7, untreated_fraction=0.5)
-    frac = np.mean(half.train.intervention == NEVER_TREATED)
-    assert 0.35 < frac < 0.65
-    with pytest.raises(ConfigError):
-        generate_dataset(cfg, 1, 1, 1, seed=0, untreated_fraction=1.0)
 
 
 def test_generation_is_deterministic_and_split_independent():
@@ -235,24 +239,48 @@ def test_float32_quantization_applied(ds):
         ds.train.x_local.astype("<f4").astype(np.float64).tobytes()
 
 
+STORED = ["train_x_local", "train_x_global", "train_outcome",
+          "train_intervention", "val_x_local", "val_x_global", "val_outcome",
+          "val_intervention", "test_intervention", "cf_x_local",
+          "cf_x_global", "cf_outcome"]
+
+
 def test_save_load_round_trip(tmp_path, ds):
-    out = str(tmp_path / "ds")
-    save_dataset(ds, out)
-    loaded = load_dataset(out)
+    out = tmp_path / "ds"
+    save_dataset(ds, str(out))
+    # each fact once: treatments, arms and the factual test split are
+    # rebuilt from the starts, the [sim] window and the arms
+    names = zipfile.ZipFile(out / "dataset.npz").namelist()
+    assert sorted(names) == sorted(f"{n}.npy"
+                                   for n in STORED + ["__meta__"])
+    _, meta = artifact.load(out / "dataset.npz", ())
+    assert sorted(meta) == ["format", "seed", "sim"]
+    loaded = load_dataset(str(out))
     assert loaded.cfg == ds.cfg
     assert loaded.seed == ds.seed
-    assert loaded.untreated_fraction == ds.untreated_fraction
     assert loaded.cf.arms == ds.cf.arms
-    for split_name in ("train", "val", "test"):
-        a, b = getattr(ds, split_name), getattr(loaded, split_name)
-        assert a.x_local.tobytes() == b.x_local.tobytes()
-        assert a.x_global.tobytes() == b.x_global.tobytes()
-        assert np.array_equal(a.treatment, b.treatment)
-        assert a.outcome.tobytes() == b.outcome.tobytes()
-        assert np.array_equal(a.intervention, b.intervention)
-    assert loaded.cf.x_local.tobytes() == ds.cf.x_local.tobytes()
-    assert loaded.cf.outcome.tobytes() == ds.cf.outcome.tobytes()
+    assert all(type(arm) is int for arm in loaded.cf.arms)
+    for part in ("train", "val", "test", "cf"):
+        a, b = getattr(ds, part), getattr(loaded, part)
+        for name, want in vars(a).items():
+            got = getattr(b, name)
+            if not isinstance(want, np.ndarray):
+                continue
+            assert got.dtype == want.dtype, (part, name)
+            assert got.shape == want.shape, (part, name)
+            assert got.flags.c_contiguous, (part, name)
+            assert got.tobytes() == want.tobytes(), (part, name)
     assert loaded.cf.treatment.dtype == np.uint8
+
+
+def test_older_dataset_format_refused_by_name(tmp_path, ds):
+    save_dataset(ds, str(tmp_path))
+    arrays, meta = artifact.load(tmp_path / "dataset.npz", ())
+    artifact.save(tmp_path / "dataset.npz", arrays,
+                  dict(meta, format="trajset-v2"))
+    with pytest.raises(ContractError, match="'trajset-v2', expected "
+                       "'trajset-v3'"):
+        load_dataset(str(tmp_path))
 
 
 def test_load_missing_manifest(tmp_path):

@@ -1,10 +1,10 @@
-"""README claims that the code can check: the command list, the dump table
-and the model methods it names."""
+"""README claims that the code can check: the command list, the dump table,
+the artifact formats and the model methods it names."""
 
 import re
 from pathlib import Path
 
-from cfswarm import cli, metrics
+from cfswarm import cli, data, metrics, optim
 from cfswarm.model import CrnModel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +34,10 @@ def test_named_model_methods_exist():
     named = set(re.findall(r"`CrnModel\.(\w+)", README.read_text()))
     assert named
     assert {name for name in named if not hasattr(CrnModel, name)} == set()
+
+
+def test_readme_names_every_artifact_format():
+    text = README.read_text()
+    formats = (data.DATASET_FORMAT, optim.CHECKPOINT_FORMAT,
+               metrics.EVAL_DUMP_FORMAT)
+    assert [f for f in formats if f"`{f}`" not in text] == []
