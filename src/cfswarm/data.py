@@ -234,7 +234,8 @@ def sim_config_from_echo(echo: dict) -> SimConfig:
 def _check_shapes(path: str, arrays: dict, cfg: SimConfig) -> None:
     """Every array's shape follows from its split's episode count n and the
     stored world's T, K and arm count; the test starts share the
-    counterfactual set's n.  Every start is an integer in the world's
+    counterfactual set's n.  Covariates and outcomes are float32, as
+    `save_dataset` writes them.  Every start is an integer in the world's
     window or NEVER_TREATED."""
     t, k = cfg.n_steps, cfg.n_agents
     starts = cfg.intervention_steps + [NEVER_TREATED]
@@ -250,6 +251,9 @@ def _check_shapes(path: str, arrays: dict, cfg: SimConfig) -> None:
             if arrays[key].shape != want:
                 raise ContractError(f"dataset {path!r}: {key} has shape "
                                     f"{arrays[key].shape}, expected {want}")
+            if name != "intervention" and arrays[key].dtype != np.float32:
+                raise ContractError(f"dataset {path!r}: {key} has dtype "
+                                    f"{arrays[key].dtype}, expected float32")
     for key in ("train_intervention", "val_intervention", "test_intervention"):
         if arrays[key].dtype.kind not in "iu" or \
                 not np.isin(arrays[key], starts).all():
@@ -261,8 +265,8 @@ def load_dataset(out_dir: str) -> Dataset:
     """Read <out_dir>/dataset.npz; floats come back as float64, and the
     treatments, arms and factual test split are rebuilt as generation
     builds them.  Arrays whose shapes disagree with each other or with the
-    stored [sim], or starts outside its window, are a ContractError naming
-    the array."""
+    stored [sim], float arrays that are not float32, or starts outside its
+    window, are a ContractError naming the array."""
     path = os.path.join(out_dir, DATASET_FILE)
     arrays, meta = artifact.load(
         path, [f"{part}_{name}" for part, names in _PARTS for name in names],

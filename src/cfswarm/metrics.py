@@ -11,11 +11,12 @@ per arm and averaged over arms.  Standard errors come from per-episode
 statistics (for the arm-averaged quantities, the SE of the per-episode
 aggregate).
 
-An evaluation dump is one ``dump.npz`` (see ``artifact``) with the
-predicted and true arrays and the arm list, next to ``report.json`` and
+An evaluation dump is one ``dump.npz`` (see ``artifact``) with the model's
+predictions and the arm list, next to ``report.json`` and
 ``per_episode.csv``.  Its covariate predictions cover the window only:
 x_loc_pred (n, A, T-T_b, K, 5) and x_g_pred (n, A, T-T_b, 1), entry j the
-prediction of world step T_b + j.
+prediction of world step T_b + j.  The truth stays in the dataset, and
+``compute_metrics(load_dataset(d).cf, ...)`` recomputes the report.
 """
 
 import csv
@@ -27,7 +28,8 @@ import numpy as np
 
 from . import artifact
 from .boids import SimConfig
-from .data import CounterfactualSet, Dataset, final_effects, ground_truth_ite
+from .data import (NEVER_TREATED, CounterfactualSet, Dataset, final_effects,
+                   ground_truth_ite)
 from .errors import ContractError, DimensionError
 from .model import CrnModel, predict_ite
 from .optim import ParamStore
@@ -84,16 +86,16 @@ def covariate_window(cfg: SimConfig) -> np.ndarray:
     return np.arange(cfg.burn_in, cfg.n_steps)
 
 
-def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
-                    y_pred: np.ndarray, x_loc_pred: np.ndarray,
-                    x_g_pred: np.ndarray, best_pred: np.ndarray,
+def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
+                    x_loc_pred: np.ndarray, x_g_pred: np.ndarray,
                     cfg: SimConfig, variant: str = ""):
-    """Assemble the report from prediction arrays.
+    """Score predictions against the counterfactual set's simulated arms.
 
     y_pred (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, W, K, 5) and
     x_g_pred (n, A, W, 1) hold the predictions of the W world steps of
-    covariate_window(cfg), in order, as predict_ite returns them;
-    best_pred (n,) holds predicted best intervention steps.
+    covariate_window(cfg), in order, as predict_ite returns them.  Effects
+    and best starts are `final_effects` of y_pred and cf.outcome; uplift is
+    against the never-treated arm at step T_b - 1, before any start.
     Returns (MetricsReport, per-episode dict).
     """
     n, n_arms, n_steps = cf.outcome.shape
@@ -125,7 +127,7 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
 
     # effect metrics on final-step estimates
     tau_true, best_true = ground_truth_ite(cf)
-    tau_hat, _ = final_effects(y_pred, cf.arms[:-1])
+    tau_hat, best_pred = final_effects(y_pred, cf.arms[:-1])
     pehe_per_arm, ate_per_arm = effect_errors(tau_hat, tau_true)
     err = tau_hat - tau_true
     ep_pehe = np.sqrt((err ** 2).mean(axis=1))
@@ -133,7 +135,7 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
 
     ep_timing = np.abs(best_pred.astype(np.float64) - best_true)
 
-    base = factual_outcome[:, cfg.burn_in - 1]
+    base = cf.outcome[:, -1, cfg.burn_in - 1]
     ep_uplift = y_pred[:, :, ow].max(axis=(1, 2)) - base
 
     report = MetricsReport(
@@ -155,46 +157,39 @@ def compute_metrics(cf: CounterfactualSet, factual_outcome: np.ndarray,
 def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
              mc_samples: int = 0, seed: int = 0, chunk: int = 32,
              dump_dir: str | None = None):
-    """Run counterfactual predictions over the test set and score them.
+    """Predict every arm of the counterfactual set and score them.
 
     Read-only with respect to the parameters.  When dump_dir is given, the
-    raw prediction arrays are written to dump_dir/dump.npz so every report
-    field can be recomputed offline, alongside report.json and
-    per_episode.csv.
+    prediction arrays are written to dump_dir/dump.npz, alongside
+    report.json and per_episode.csv; with the dataset's counterfactual set,
+    `compute_metrics` recomputes every report field from them offline.
     """
     cf = dataset.cf
     if cf.outcome.shape[0] == 0:
         raise ContractError("evaluation needs a counterfactual set")
-    cfg = model.cfg
-    arms = [a for a in cf.arms if a >= 0]
     pred = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
-                       arms=arms, mc_samples=mc_samples, seed=seed,
+                       arms=cf.arms[:-1], mc_samples=mc_samples, seed=seed,
                        chunk=chunk)
     report, per_episode = compute_metrics(
-        cf, dataset.test.outcome, pred["y_all"],
-        pred["x_loc_hat"], pred["x_g_hat"], pred["best_timing"], cfg,
+        cf, pred["y_all"], pred["x_loc_hat"], pred["x_g_hat"], model.cfg,
         variant=model.variant.value)
     if dump_dir is not None:
-        write_eval_dump(Path(dump_dir), report, per_episode, pred, cf)
+        write_eval_dump(Path(dump_dir), report, per_episode, pred)
     return report, per_episode, pred
 
 
 DUMP_FILE = "dump.npz"
-EVAL_DUMP_FORMAT = "eval-dump-v3"
-_DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
-                "tau_true", "best_pred", "best_true", "y_true", "x_loc_true",
-                "x_g_true")
+EVAL_DUMP_FORMAT = "eval-dump-v4"
+_DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred")
 
 
 def write_eval_dump(out: Path, report: MetricsReport, per_episode: dict,
-                    pred: dict, cf: CounterfactualSet) -> None:
+                    pred: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
     values = (pred["y_all"], pred["a_all"], pred["x_loc_hat"],
-              pred["x_g_hat"], per_episode["tau_hat"],
-              per_episode["tau_true"], per_episode["best_pred"],
-              per_episode["best_true"], cf.outcome, cf.x_local, cf.x_global)
+              pred["x_g_hat"])
     artifact.save(out / DUMP_FILE, dict(zip(_DUMP_ARRAYS, values)),
-                  {"format": EVAL_DUMP_FORMAT, "arms": cf.arms})
+                  {"format": EVAL_DUMP_FORMAT, "arms": pred["arms"]})
 
     (out / "report.json").write_text(report.to_json() + "\n")
     scalar_keys = [k for k in per_episode
@@ -207,12 +202,33 @@ def write_eval_dump(out: Path, report: MetricsReport, per_episode: dict,
                                    for k in scalar_keys])
 
 
+def _check_dump(path: Path, arrays: dict, arms: list[int]) -> None:
+    """The arms end in NEVER_TREATED, and the arrays are float64 and agree
+    on y_pred's (n, A, T), A the arm count, and x_loc_pred's window W."""
+    y, x_loc = arrays["y_pred"], arrays["x_loc_pred"]
+    lead = y.shape[:1] + (len(arms),)
+    want = {"y_pred": lead + y.shape[-1:], "a_pred": y.shape,
+            "x_loc_pred": lead + x_loc.shape[2:4] + (5,),
+            "x_g_pred": lead + x_loc.shape[2:3] + (1,)}
+    if arms[-1:] != [NEVER_TREATED]:
+        raise ContractError(f"eval dump {str(path)!r}: arms {arms} do not "
+                            f"end in {NEVER_TREATED} (never treated)")
+    for name, shape in want.items():
+        arr = arrays[name]
+        if arr.dtype != np.float64 or arr.shape != shape:
+            raise ContractError(f"eval dump {str(path)!r}: {name} is "
+                                f"{arr.dtype} {arr.shape}, expected float64 "
+                                f"{shape} for arms {arms}")
+
+
 def read_eval_dump(path: Path) -> dict:
-    """Load a dump written by write_eval_dump; inverse for offline checks.
+    """Load a dump written by write_eval_dump, checked by `_check_dump`.
 
     Returns the arrays by name plus "arms", the arm list of the dump.
     """
-    arrays, meta = artifact.load(Path(path) / DUMP_FILE, _DUMP_ARRAYS,
-                                 EVAL_DUMP_FORMAT, {"arms": [int]})
+    file = Path(path) / DUMP_FILE
+    arrays, meta = artifact.load(file, _DUMP_ARRAYS, EVAL_DUMP_FORMAT,
+                                 {"arms": [int]})
+    _check_dump(file, arrays, meta["arms"])
     arrays["arms"] = meta["arms"]
     return arrays

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp, treatment_head
 from .boids import SimConfig
-from .data import final_effects
+from .data import NEVER_TREATED, final_effects
 from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .optim import ParamStore
 from .parallel import fork_map
@@ -746,9 +746,10 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     unless mc_samples > 0 draws latents from the prior, so a deterministic
     call runs the mu halves only (see `CrnModel.latent`).
 
-    Returns a dict with arms (the arms plus None for never-treated, which
-    the dataset and eval's dump store as -1), y_final (n, A), tau_hat
-    (n, A-1), best_timing (n,), y_all (n, A, T), a_all (n, A, T), and the
+    Returns a dict with arms (the arms, then NEVER_TREATED = -1 for the
+    never-treated arm, as in the dataset and eval's dump), y_final (n, A),
+    tau_hat (n, A-1), best_timing (n,), y_all (n, A, T), a_all (n, A, T),
+    and the
     covariate predictions of world steps burn..T-1: x_loc_hat
     (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
     """
@@ -765,7 +766,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     if not all(0 <= arm < n_steps for arm in arms):
         raise ContractError(f"intervention steps {arms} outside the episode "
                             f"[0, {n_steps})")
-    all_arms = arms + [None]
+    all_arms = arms + [NEVER_TREATED]
     n_arms = len(all_arms)
 
     y_all = np.zeros((n, n_arms, n_steps))

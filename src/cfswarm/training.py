@@ -25,6 +25,7 @@ from .rng import Rng, derive_seed
 
 LOG_FIELDS = ("l_y", "l_x", "l_a", "l_elbo", "total")
 STEP_FIELDS = ("epoch", "step", "grad_norm", "clipped")
+CLIP_NORM = 10.0  # global gradient norm above which a step is scaled down
 
 
 @dataclass
@@ -33,7 +34,6 @@ class TrainConfig:
     batch_size: int = 256
     micro_batch: int = 32
     lr: float = 1e-4
-    clip_norm: float = 10.0
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
 
@@ -44,8 +44,6 @@ class TrainConfig:
             raise ConfigError("batch sizes must be positive")
         if self.lr <= 0:
             raise ConfigError("learning rate must be positive")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
         self.weights.validate()
         return self
 
@@ -152,7 +150,7 @@ def train(model: CrnModel, dataset: Dataset, cfg: TrainConfig,
                     grads_sum[name] = g.copy() if acc is None else acc + g
                 for k in LOG_FIELDS:
                     train_acc[k] += parts[k] * size / train_split.n
-            norm, clipped = _clip_grads(grads_sum, cfg.clip_norm)
+            norm, clipped = _clip_grads(grads_sum, CLIP_NORM)
             clip_events += int(clipped)
             adam_step_grads(store, grads_sum, cfg.lr)
             steps.append({"epoch": epoch, "step": store.step_count,

@@ -215,10 +215,8 @@ def test_criterion_6_gradient_reversal(shout):
 
 def test_criterion_7_metric_self_check(desk_ds, shout):
     cf = desk_ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(
-        cf, desk_ds.cfg)
-    report, _ = compute_metrics(cf, desk_ds.test.outcome.astype(np.float64),
-                                y_pred, x_loc_pred, x_g_pred, best_true,
+    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, desk_ds.cfg)
+    report, _ = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred,
                                 desk_ds.cfg)
     zeros = (report.l_outcome, report.l_covariates, report.pehe_sqrt,
              report.ate_abs_err, report.timing_err)

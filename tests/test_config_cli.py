@@ -1,6 +1,7 @@
 """Config parsing and end-to-end command-line runs at toy scale."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -21,7 +22,7 @@ from cfswarm.config import load_config, require_sim_match
 from cfswarm.boids import SimConfig
 from cfswarm.data import load_dataset
 from cfswarm.errors import ConfigError, ContractError
-from cfswarm.metrics import read_eval_dump
+from cfswarm.metrics import compute_metrics, read_eval_dump
 from cfswarm.model import ModelVariant
 from cfswarm.optim import load_checkpoint, save_checkpoint
 
@@ -131,6 +132,8 @@ def test_load_config_weight_aliases(tmp_path):
     ("[data]\nn_train = [3]\n", "data.n_train must be a number"),
     ("[data]\nuntreated_fraction = 0.5\n",
      "unknown key 'untreated_fraction' in section [data]"),
+    ("[train]\nclip_norm = 5.0\n",
+     "unknown key 'clip_norm' in section [train]"),
     ("[data]\nn_train = True\n", "data.n_train must be a number"),
     ("[sim]\nmax_turn_deg = True\n", "sim.max_turn_deg must be a number"),
     ("[eval]\nchunk = True\n", "eval.chunk must be a number"),
@@ -285,16 +288,21 @@ def eval_dir(pipeline, tmp_path_factory):
 
 def test_eval_dump_holds_every_arms_predictions(eval_dir):
     assert (eval_dir / "dump.npz").exists()
+    # the predictions and the arm list only: the truth stays in the dataset
+    with zipfile.ZipFile(eval_dir / "dump.npz") as zf:
+        assert sorted(zf.namelist()) == sorted(
+            f"{name}.npy" for name in ("y_pred", "a_pred", "x_loc_pred",
+                                       "x_g_pred", artifact.META_KEY))
     arrays, meta = artifact.load(eval_dir / "dump.npz", ())
-    assert meta["format"] == "eval-dump-v3"
+    assert sorted(meta) == ["arms", "format"]
+    assert meta["format"] == "eval-dump-v4"
     assert meta["arms"] == [5, 6, 7, -1]
     # n_test=2, arms 3+1, T=8; covariates of world steps burn_in=5..7
     assert arrays["y_pred"].shape == (2, 4, 8)
     assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
     assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
-    for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred", "tau_hat",
-                 "best_pred"):
-        assert name in arrays
+    for name in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
+        assert arrays[name].dtype == np.float64
     y = arrays["y_pred"]
     assert np.all((y > 0.0) & (y < 1.0))
 
@@ -471,17 +479,56 @@ def test_malformed_metadata_stops_eval(pipeline, tmp_path, capsys, file, key,
     assert "Traceback" not in err
 
 
-def test_eval_dump_v2_is_contract_error(eval_dir, tmp_path):
+def test_older_eval_dump_format_refused_by_name(eval_dir, tmp_path):
     arrays, meta = artifact.load(eval_dir / "dump.npz", ())
-    assert meta["format"] == "eval-dump-v3"
+    assert meta["format"] == "eval-dump-v4"
     # covariates of world steps burn_in=5..7 only
     assert arrays["x_loc_pred"].shape == (2, 4, 3, 4, 5)
     assert arrays["x_g_pred"].shape == (2, 4, 3, 1)
     read_eval_dump(eval_dir)
-    meta["format"] = "eval-dump-v2"
+    meta["format"] = "eval-dump-v3"
     artifact.save(tmp_path / "dump.npz", arrays, meta)
-    with pytest.raises(ContractError, match="eval-dump-v2"):
+    with pytest.raises(ContractError, match="eval-dump-v3"):
         read_eval_dump(tmp_path)
+
+
+def cut_dump(name, axis):
+    def edit(arrays, meta):
+        arrays[name] = np.delete(arrays[name], -1, axis=axis)
+    return edit
+
+
+def drop_first_arm(arrays, meta):
+    meta["arms"] = meta["arms"][1:]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (cut_dump("a_pred", 0), "a_pred"),
+    (cut_dump("x_g_pred", 2), "x_g_pred"),
+    (drop_first_arm, "arms"),
+], ids=["a_pred-episode-cut", "x_g_pred-window-cut", "arms-short"])
+def test_inconsistent_eval_dump_is_contract_error(eval_dir, tmp_path, edit,
+                                                  named):
+    # unchecked, each of these loads
+    arrays, meta = artifact.load(eval_dir / "dump.npz", ())
+    edit(arrays, meta)
+    artifact.save(tmp_path / "dump.npz", arrays, meta)
+    with pytest.raises(ContractError, match=f"dump.npz.*{named}"):
+        read_eval_dump(tmp_path)
+
+
+def test_eval_report_recomputes_offline(pipeline, eval_dir):
+    ds = load_dataset(str(pipeline["root"] / "dataset"))
+    saved = json.loads((eval_dir / "report.json").read_text())
+    dump = read_eval_dump(eval_dir)
+    report, per = compute_metrics(ds.cf, dump["y_pred"], dump["x_loc_pred"],
+                                  dump["x_g_pred"], ds.cfg, saved["variant"])
+    assert dataclasses.asdict(report) == saved
+    with open(eval_dir / "per_episode.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    keys = rows[0][1:]
+    assert rows[1:] == [[str(i)] + [repr(float(per[k][i])) for k in keys]
+                        for i in range(ds.cf.n)]
 
 
 @pytest.mark.parametrize("bad", ["oops", "'five'", "[1,"])
@@ -559,6 +606,12 @@ def set_values(name, value, dtype=None):
     return edit
 
 
+def retype(name, dtype, scale=1):
+    def edit(arrays, meta):
+        arrays[name] = (arrays[name] * scale).astype(dtype)
+    return edit
+
+
 @pytest.mark.parametrize("command, edit, named", [
     ("train", cut_rows("train_outcome"), "train_outcome"),
     ("train", cut_rows("val_x_global"), "val_x_global"),
@@ -570,15 +623,19 @@ def set_values(name, value, dtype=None):
     ("train", set_values("train_intervention", 4), "train_intervention"),
     ("train", set_values("val_intervention", 6.0, np.float64),
      "val_intervention"),
+    ("train", retype("train_x_local", np.int64, 1000), "train_x_local"),
+    ("train", retype("val_outcome", np.float64), "val_outcome"),
 ], ids=["train_outcome-cut", "val_x_global-cut", "cf_outcome-cut",
         "test-split-cut", "arms-short", "test_intervention-99",
-        "train_intervention-before-window", "val_intervention-float"])
+        "train_intervention-before-window", "val_intervention-float",
+        "train_x_local-int64", "val_outcome-float64"])
 def test_inconsistent_dataset_stops_command(pipeline, tmp_path, capsys,
                                             command, edit, named):
     # unchecked, the train and val cuts end in an IndexError, a test split
     # one episode short broadcasts into wrong metrics (exit 0), a short
-    # window scores each arm against another's truth, and starts outside
-    # the window train on treatments no episode received (exit 0)
+    # window scores each arm against another's truth, starts outside the
+    # window train on treatments no episode received, and integer or
+    # float64 covariates and outcomes train as they are (exit 0)
     code, err = run_on_edited_copies(pipeline, tmp_path, capsys, command,
                                      edit_dataset=edit)
     assert code == 1

@@ -1,11 +1,12 @@
 """Metric definitions, the ground-truth self-check, and dump round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from cfswarm.data import generate_dataset, ground_truth_ite
+from cfswarm.data import final_effects, generate_dataset, ground_truth_ite
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.metrics import (MetricsReport, compute_metrics, covariate_window,
                              effect_errors, evaluate, outcome_window,
@@ -56,16 +57,14 @@ def perfect_predictions(cf, cfg):
     y_pred = cf.outcome.astype(np.float64)
     x_loc_pred = cf.x_local[:, :, cw].astype(np.float64)
     x_g_pred = cf.x_global[:, :, cw].astype(np.float64)
-    _, best_true = ground_truth_ite(cf)
-    return y_pred, x_loc_pred, x_g_pred, best_true
+    return y_pred, x_loc_pred, x_g_pred
 
 
 def test_ground_truth_self_check_scores_zero(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
-    report, per_episode = compute_metrics(
-        cf, ds.test.outcome.astype(np.float64), y_pred, x_loc_pred,
-        x_g_pred, best_true, ds.cfg, variant="oracle")
+    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
+    report, per_episode = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred,
+                                          ds.cfg, variant="oracle")
     assert report.l_outcome == 0.0 and report.l_outcome_se == 0.0
     assert report.l_covariates == 0.0 and report.l_covariates_se == 0.0
     assert report.pehe_sqrt == 0.0 and report.pehe_sqrt_se == 0.0
@@ -73,7 +72,8 @@ def test_ground_truth_self_check_scores_zero(ds):
     assert report.timing_err == 0.0 and report.timing_err_se == 0.0
     assert report.n_episodes == cf.n
     assert report.variant == "oracle"
-    # the best treated outcome can only improve on the pre-treatment level
+    # the best treated outcome can only improve on the pre-treatment level,
+    # which the factual test episode shares with every arm
     assert report.cf_uplift >= 0.0
     base = ds.test.outcome.astype(np.float64)[:, ds.cfg.burn_in - 1]
     ow = outcome_window(ds.cfg)
@@ -83,11 +83,18 @@ def test_ground_truth_self_check_scores_zero(ds):
 
 
 def test_timing_error_counts_offsets(ds):
-    cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
-    report, _ = compute_metrics(
-        cf, ds.test.outcome.astype(np.float64), y_pred, x_loc_pred,
-        x_g_pred, best_true + 2, ds.cfg)
+    # every true best start is the window's first (5) and every predicted
+    # one its last (7), two steps later
+    first, last = ds.cf.arms[0], ds.cf.arms[-2]
+    assert last - first == 2
+    outcome = ds.cf.outcome.copy()
+    outcome[:, 0, -1] = outcome[:, :, -1].max(axis=1) + 1.0
+    cf = dataclasses.replace(ds.cf, outcome=outcome)
+    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
+    y_pred[:, -2, -1] = y_pred[:, :, -1].max(axis=1) + 1.0
+    report, per = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred, ds.cfg)
+    assert per["best_true"].tolist() == [first] * cf.n
+    assert per["best_pred"].tolist() == [last] * cf.n
     assert report.timing_err == 2.0
     assert report.timing_err_se == 0.0
 
@@ -101,10 +108,7 @@ def test_compute_metrics_matches_manual_recompute(ds):
     y_pred = rng.uniform(size=(n, n_arms, n_steps))
     x_loc_pred = rng.normal(size=cf.x_local[:, :, cw].shape)
     x_g_pred = rng.uniform(size=cf.x_global[:, :, cw].shape)
-    best_pred = rng.choice(cfg.intervention_steps, size=n)
-    report, per = compute_metrics(cf, ds.test.outcome.astype(np.float64),
-                                  y_pred, x_loc_pred, x_g_pred, best_pred,
-                                  cfg)
+    report, per = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred, cfg)
     ow = outcome_window(cfg)
     out_err = np.abs(y_pred[:, :, ow] - cf.outcome[:, :, ow]).mean(axis=(1, 2))
     assert np.allclose(per["l_outcome"], out_err, atol=1e-15)
@@ -125,32 +129,34 @@ def test_compute_metrics_matches_manual_recompute(ds):
     assert abs(report.pehe_sqrt - pehe_arm.mean()) < 1e-15
     assert abs(report.ate_abs_err - ate_arm.mean()) < 1e-15
     assert np.allclose(per["tau_hat"], tau_hat, atol=0)
+    best = np.array(cfg.intervention_steps)[y_final[:, :-1].argmax(axis=1)]
+    assert np.array_equal(per["best_pred"], best)
+    uplift = (y_pred[:, :, ow].max(axis=(1, 2))
+              - ds.test.outcome[:, cfg.burn_in - 1])
+    assert np.array_equal(per["cf_uplift"], uplift)
 
 
 def test_compute_metrics_rejects_bad_y_shape(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred, best_true = perfect_predictions(cf, ds.cfg)
+    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
     with pytest.raises(DimensionError):
-        compute_metrics(cf, ds.test.outcome.astype(np.float64),
-                        y_pred[:, :, :-1], x_loc_pred, x_g_pred, best_true,
-                        ds.cfg)
+        compute_metrics(cf, y_pred[:, :, :-1], x_loc_pred, x_g_pred, ds.cfg)
 
 
 def test_compute_metrics_rejects_covariates_off_the_window(ds):
     # the eval-dump-v2 layout: one covariate prediction per step, not the
     # window's
     cf = ds.cf
-    y_pred, _, _, best_true = perfect_predictions(cf, ds.cfg)
+    y_pred, _, _ = perfect_predictions(cf, ds.cfg)
     x_loc = cf.x_local.astype(np.float64)
     x_g = cf.x_global.astype(np.float64)
     with pytest.raises(DimensionError):
-        compute_metrics(cf, ds.test.outcome.astype(np.float64), y_pred,
-                        x_loc, x_g, best_true, ds.cfg)
+        compute_metrics(cf, y_pred, x_loc, x_g, ds.cfg)
 
 
 def test_evaluate_requires_counterfactuals(ds):
     empty = type("Cf", (), {"outcome": np.zeros((0, 2, 2))})()
-    stub = type("Ds", (), {"cf": empty, "test": ds.test})()
+    stub = type("Ds", (), {"cf": empty})()
     model = CrnModel(ModelVariant.TGV_CRN, ds.cfg, SMALL)
     with pytest.raises(ContractError):
         evaluate(model, model.init_store(0), stub)
@@ -168,12 +174,13 @@ def test_evaluate_report_and_dump_round_trip(ds, tmp_path):
         assert np.isfinite(getattr(report, field + "_se"))
 
     dump = read_eval_dump(tmp_path)
-    assert dump["arms"] == ds.cf.arms
+    assert dump["arms"] == pred["arms"] == ds.cf.arms
     assert np.array_equal(dump["y_pred"], pred["y_all"])
+    assert np.array_equal(dump["a_pred"], pred["a_all"])
     assert np.array_equal(dump["x_loc_pred"], pred["x_loc_hat"])
     assert np.array_equal(dump["x_g_pred"], pred["x_g_hat"])
-    assert np.array_equal(dump["tau_hat"], per["tau_hat"])
-    assert np.array_equal(dump["y_true"], ds.cf.outcome.astype(np.float64))
+    assert np.array_equal(per["tau_hat"], pred["tau_hat"])
+    assert np.array_equal(per["best_pred"], pred["best_timing"])
 
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["l_outcome"] == report.l_outcome
@@ -187,26 +194,37 @@ def test_evaluate_report_and_dump_round_trip(ds, tmp_path):
 def test_dump_supports_offline_recompute(ds, tmp_path):
     model = CrnModel(ModelVariant.TGV_CRN, ds.cfg, SMALL)
     store = model.init_store(8)
-    report, _, _ = evaluate(model, store, ds, dump_dir=str(tmp_path))
+    report, per, _ = evaluate(model, store, ds, dump_dir=str(tmp_path))
     dump = read_eval_dump(tmp_path)
-    cfg = ds.cfg
+    cf, cfg = ds.cf, ds.cfg
+    # the dump and the dataset's counterfactual set give back report.json
+    # field for field and every per-episode array bitwise
+    again, per_again = compute_metrics(cf, dump["y_pred"], dump["x_loc_pred"],
+                                       dump["x_g_pred"], cfg, report.variant)
+    saved = json.loads((tmp_path / "report.json").read_text())
+    assert dataclasses.asdict(again) == saved
+    assert list(per_again) == list(per)
+    for key in per:
+        assert per_again[key].dtype == per[key].dtype
+        assert np.array_equal(per_again[key], per[key]), key
+
     ow = outcome_window(cfg)
     cw = covariate_window(cfg)
     out_err = np.abs(dump["y_pred"][:, :, ow]
-                     - dump["y_true"][:, :, ow]).mean(axis=(1, 2))
+                     - cf.outcome[:, :, ow]).mean(axis=(1, 2))
     assert abs(out_err.mean() - report.l_outcome) < 1e-12
     k = cfg.n_agents
-    sq = ((dump["x_loc_pred"]
-           - dump["x_loc_true"][:, :, cw]) ** 2).sum((3, 4)) \
-        + ((dump["x_g_pred"]
-            - dump["x_g_true"][:, :, cw]) ** 2).sum(3)
+    sq = ((dump["x_loc_pred"] - cf.x_local[:, :, cw]) ** 2).sum((3, 4)) \
+        + ((dump["x_g_pred"] - cf.x_global[:, :, cw]) ** 2).sum(3)
     cov_err = np.sqrt(sq / (k * 5 + 1)).mean(axis=(1, 2))
     assert abs(cov_err.mean() - report.l_covariates) < 1e-12
-    err = dump["tau_hat"] - dump["tau_true"]
+    tau_hat, best_pred = final_effects(dump["y_pred"], dump["arms"][:-1])
+    tau_true, best_true = ground_truth_ite(cf)
+    err = tau_hat - tau_true
     assert abs(np.sqrt((err ** 2).mean(axis=0)).mean()
                - report.pehe_sqrt) < 1e-12
     assert abs(np.abs(err.mean(axis=0)).mean() - report.ate_abs_err) < 1e-12
-    assert abs(np.abs(dump["best_pred"] - dump["best_true"]).mean()
+    assert abs(np.abs(best_pred - best_true).mean()
                - report.timing_err) < 1e-12
 
 

@@ -8,6 +8,7 @@ import cfswarm.parallel as parallel
 import cfswarm.tensor as T
 from cfswarm.blocks import GaussianHead, GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
+from cfswarm.data import NEVER_TREATED
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.losses import LossWeights, loss_total
 from cfswarm.model import (CrnModel, ModelDims, ModelVariant, predict_ite,
@@ -581,7 +582,7 @@ def test_predict_ite_arm_layout():
     x_local, x_global, _ = batch_from_sim(cfg, 3, seed=20)
     out = predict_ite(model, store, x_local, x_global, chunk=2)
     arms = cfg.intervention_steps
-    assert out["arms"] == arms + [None]
+    assert out["arms"] == arms + [NEVER_TREATED]
     n_arms = len(arms) + 1
     assert out["y_all"].shape == (3, n_arms, cfg.n_steps)
     assert out["a_all"].shape == (3, n_arms, cfg.n_steps)
@@ -754,7 +755,7 @@ def test_predict_ite_matches_per_arm_rollouts(variant):
         got = predict_ite(model, store, x_local, x_global, arms=arms,
                           chunk=2)
         ref = per_arm_reference(model, store, x_local, x_global, arms, 2)
-        assert got["arms"] == list(arms) + [None]
+        assert got["arms"] == list(arms) + [NEVER_TREATED]
         for key, val in ref.items():
             assert np.array_equal(got[key], val), (arms, key)
 

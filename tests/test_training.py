@@ -36,8 +36,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=0.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(clip_norm=0.0).validate()
-    with pytest.raises(ConfigError):
         TrainConfig(weights=LossWeights(alpha=-1.0)).validate()
 
 
@@ -125,12 +123,13 @@ def test_out_dir_artifacts(mini_ds, tmp_path):
     assert last.params.keys() == best.params.keys()
 
 
-def test_steps_csv_logs_every_optimizer_step(mini_ds, tmp_path):
+def test_steps_csv_logs_every_optimizer_step(mini_ds, tmp_path,
+                                             monkeypatch):
     model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
     runs = []
     for name, clip in (("a", 0.15), ("b", 0.15), ("loose", 1e9)):
-        _, summary = train(model, mini_ds,
-                           make_cfg(epochs=3, batch_size=3, clip_norm=clip),
+        monkeypatch.setattr(training, "CLIP_NORM", clip)
+        _, summary = train(model, mini_ds, make_cfg(epochs=3, batch_size=3),
                            str(tmp_path / name))
         runs.append(summary)
     with open(tmp_path / "a" / "steps.csv", newline="") as fh:
@@ -147,19 +146,21 @@ def test_steps_csv_logs_every_optimizer_step(mini_ds, tmp_path):
     assert 0 < runs[0]["clip_events"] < len(rows)
     assert (tmp_path / "a" / "steps.csv").read_bytes() == \
         (tmp_path / "b" / "steps.csv").read_bytes()
-    # the norm is taken before clipping, so it does not depend on clip_norm
+    # the norm is taken before clipping, so it does not depend on CLIP_NORM
     with open(tmp_path / "loose" / "steps.csv", newline="") as fh:
         loose = list(csv.DictReader(fh))
     assert float(loose[0]["grad_norm"]) == norms[0]
     assert sum(int(r["clipped"]) for r in loose) == runs[2]["clip_events"] == 0
 
 
-def test_clip_events_counted(mini_ds):
+def test_clip_events_counted(mini_ds, monkeypatch):
     model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
-    _, tight = train(model, mini_ds, make_cfg(epochs=2, clip_norm=1e-6))
+    monkeypatch.setattr(training, "CLIP_NORM", 1e-6)
+    _, tight = train(model, mini_ds, make_cfg(epochs=2))
     assert tight["clip_events"] == 2  # one batch per epoch, always clipped
     model = CrnModel(ModelVariant.TG_CRN, mini_ds.cfg, SMALL)
-    _, loose = train(model, mini_ds, make_cfg(epochs=2, clip_norm=1e9))
+    monkeypatch.setattr(training, "CLIP_NORM", 1e9)
+    _, loose = train(model, mini_ds, make_cfg(epochs=2))
     assert loose["clip_events"] == 0
 
 
