@@ -28,7 +28,7 @@ from .data import Dataset, generate_dataset, ground_truth_ite, load_dataset, \
     save_dataset
 from .errors import ConfigError, ContractError, NumericError
 from .gradcheck import run_gradcheck
-from .metrics import evaluate
+from .metrics import REPORT_METRICS, evaluate
 from .model import CrnModel
 from .optim import load_checkpoint
 from .sweep import covariate_tradeoff, default_grid, format_table, \
@@ -135,7 +135,7 @@ def cmd_gen(cfg: RunConfig, args) -> int:
     save_dataset(ds, str(out))
     tau, _ = ground_truth_ite(ds.cf)
     write_run_manifest(Path(out), "gen", cfg, started)
-    print(f"dataset: {ds.train.n} train / {ds.val.n} val / {ds.test.n} test "
+    print(f"dataset: {ds.train.n} train / {ds.val.n} val / {ds.cf.n} test "
           f"episodes -> {out}")
     print(f"ground-truth final-step effect: mean {tau[:, -1].mean():+.4f} "
           f"over {tau.shape[0]} test episodes x {tau.shape[1]} arms")
@@ -178,10 +178,9 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                             seed=cfg.eval.seed, chunk=cfg.eval.chunk,
                             dump_dir=str(out))
     write_run_manifest(out, "eval", cfg, started, extra={
-        "processes": parallel.process_count(-(-ds.test.n // cfg.eval.chunk))})
+        "processes": parallel.process_count(-(-ds.cf.n // cfg.eval.chunk))})
     print(f"evaluated {cfg.variant.value} on {report.n_episodes} episodes")
-    for name in ("l_outcome", "l_covariates", "pehe_sqrt", "ate_abs_err",
-                 "timing_err", "cf_uplift"):
+    for name in REPORT_METRICS:
         value = getattr(report, name)
         se = getattr(report, name + "_se")
         print(f"  {name:13s} {value:.4f} (se {se:.4f})")

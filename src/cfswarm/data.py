@@ -172,10 +172,10 @@ def generate_dataset(cfg: SimConfig, n_train: int, n_val: int, n_test: int,
 
 
 def final_effects(outcome: np.ndarray, treated_steps):
-    """(tau, best_timing) from (n, A, T) outcomes, never-treated arm last.
+    """(tau, best) from (n, A, T) outcomes, never-treated arm last.
 
     tau[i, a] is the final outcome of the arm starting at treated_steps[a]
-    minus the never-treated arm's; best_timing[i] is the start whose final
+    minus the never-treated arm's; best[i] is the start whose final
     outcome is largest (earliest wins ties).
     """
     final = outcome[:, :, -1]

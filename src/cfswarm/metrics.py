@@ -11,12 +11,12 @@ per arm and averaged over arms.  Standard errors come from per-episode
 statistics (for the arm-averaged quantities, the SE of the per-episode
 aggregate).
 
-An evaluation dump is one ``dump.npz`` (see ``artifact``) with the model's
-predictions and the arm list, next to ``report.json`` and
-``per_episode.csv``.  Its covariate predictions cover the window only:
-x_loc_pred (n, A, T-T_b, K, 5) and x_g_pred (n, A, T-T_b, 1), entry j the
-prediction of world step T_b + j.  The truth stays in the dataset, and
-``compute_metrics(load_dataset(d).cf, ...)`` recomputes the report.
+A prediction record ("arms", y_pred, a_pred, x_loc_pred, x_g_pred) is what
+``predict_ite`` returns, ``dump.npz`` (see ``artifact``) stores next to
+``report.json`` and ``per_episode.csv``, and ``read_eval_dump`` loads.  Its
+covariates cover the window only: x_loc_pred (n, A, T-T_b, K, 5) and
+x_g_pred (n, A, T-T_b, 1), entry j predicting world step T_b + j.  The truth
+stays in the dataset: ``compute_metrics(ds.cf, read_eval_dump(d), ds.cfg)``.
 """
 
 import csv
@@ -33,6 +33,12 @@ from .data import (NEVER_TREATED, CounterfactualSet, Dataset, final_effects,
 from .errors import ContractError, DimensionError
 from .model import CrnModel, predict_ite
 from .optim import ParamStore
+
+REPORT_METRICS = ("l_outcome", "l_covariates", "pehe_sqrt", "ate_abs_err",
+                  "timing_err", "cf_uplift")   # each with a "<name>_se"
+DUMP_FILE = "dump.npz"
+EVAL_DUMP_FORMAT = "eval-dump-v4"
+_DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred")
 
 
 @dataclass
@@ -63,16 +69,16 @@ def _se(per_episode: np.ndarray) -> float:
     return float(per_episode.std(ddof=1) / np.sqrt(n))
 
 
-def effect_errors(tau_hat: np.ndarray, tau_true: np.ndarray):
+def effect_errors(tau_pred: np.ndarray, tau_true: np.ndarray):
     """Per-arm rooted PEHE and absolute ATE error for (n, A) estimates.
 
-    pehe[a] = sqrt(mean_i (tau_hat - tau_true)^2); ate[a] = |mean_i diff|.
+    pehe[a] = sqrt(mean_i (tau_pred - tau_true)^2); ate[a] = |mean_i diff|.
     """
-    tau_hat = np.asarray(tau_hat, dtype=np.float64)
+    tau_pred = np.asarray(tau_pred, dtype=np.float64)
     tau_true = np.asarray(tau_true, dtype=np.float64)
-    if tau_hat.shape != tau_true.shape or tau_hat.ndim != 2:
+    if tau_pred.shape != tau_true.shape or tau_pred.ndim != 2:
         raise DimensionError("effect arrays must be identically shaped (n, A)")
-    err = tau_hat - tau_true
+    err = tau_pred - tau_true
     return np.sqrt((err ** 2).mean(axis=0)), np.abs(err.mean(axis=0))
 
 
@@ -86,18 +92,20 @@ def covariate_window(cfg: SimConfig) -> np.ndarray:
     return np.arange(cfg.burn_in, cfg.n_steps)
 
 
-def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
-                    x_loc_pred: np.ndarray, x_g_pred: np.ndarray,
-                    cfg: SimConfig, variant: str = ""):
-    """Score predictions against the counterfactual set's simulated arms.
+def compute_metrics(cf: CounterfactualSet, record: dict, cfg: SimConfig,
+                    variant: str = ""):
+    """Score a prediction record against the counterfactual set's arms.
 
-    y_pred (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, W, K, 5) and
+    The record comes from predict_ite or read_eval_dump.  Its y_pred
+    (n, A, T) aligns with cf.outcome; x_loc_pred (n, A, W, K, 5) and
     x_g_pred (n, A, W, 1) hold the predictions of the W world steps of
-    covariate_window(cfg), in order, as predict_ite returns them.  Effects
+    covariate_window(cfg), in order.  Arrays off those shapes are
+    DimensionError, and arms other than cf.arms ContractError.  Effects
     and best starts are `final_effects` of y_pred and cf.outcome; uplift is
     against the never-treated arm at step T_b - 1, before any start.
     Returns (MetricsReport, per-episode dict).
     """
+    y_pred, _, x_loc_pred, x_g_pred = (record[k] for k in _DUMP_ARRAYS)
     n, n_arms, n_steps = cf.outcome.shape
     if y_pred.shape != (n, n_arms, n_steps):
         raise DimensionError("y_pred must match the counterfactual outcomes")
@@ -107,6 +115,9 @@ def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
             or x_g_pred.shape[:3] != (n, n_arms, cw.size):
         raise DimensionError("covariate predictions must cover the "
                              "covariate window")
+    if record["arms"] != cf.arms:
+        raise ContractError(f"predictions for arms {record['arms']} cannot "
+                            f"be scored against arms {cf.arms}")
 
     # outcome error over evaluated steps and every arm
     abs_err = np.abs(y_pred[:, :, ow] - cf.outcome[:, :, ow])
@@ -127,9 +138,9 @@ def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
 
     # effect metrics on final-step estimates
     tau_true, best_true = ground_truth_ite(cf)
-    tau_hat, best_pred = final_effects(y_pred, cf.arms[:-1])
-    pehe_per_arm, ate_per_arm = effect_errors(tau_hat, tau_true)
-    err = tau_hat - tau_true
+    tau_pred, best_pred = final_effects(y_pred, cf.arms[:-1])
+    pehe_per_arm, ate_per_arm = effect_errors(tau_pred, tau_true)
+    err = tau_pred - tau_true
     ep_pehe = np.sqrt((err ** 2).mean(axis=1))
     ep_ate = err.mean(axis=1)
 
@@ -149,7 +160,7 @@ def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
     per_episode = {"l_outcome": ep_outcome, "l_covariates": ep_cov,
                    "pehe_sqrt": ep_pehe, "ate_err": ep_ate,
                    "timing_err": ep_timing, "cf_uplift": ep_uplift,
-                   "tau_hat": tau_hat, "tau_true": tau_true,
+                   "tau_pred": tau_pred, "tau_true": tau_true,
                    "best_pred": best_pred, "best_true": best_true}
     return report, per_episode
 
@@ -157,39 +168,33 @@ def compute_metrics(cf: CounterfactualSet, y_pred: np.ndarray,
 def evaluate(model: CrnModel, store: ParamStore, dataset: Dataset,
              mc_samples: int = 0, seed: int = 0, chunk: int = 32,
              dump_dir: str | None = None):
-    """Predict every arm of the counterfactual set and score them.
+    """Predict every arm of the counterfactual set, score and save them.
 
     Read-only with respect to the parameters.  When dump_dir is given, the
-    prediction arrays are written to dump_dir/dump.npz, alongside
-    report.json and per_episode.csv; with the dataset's counterfactual set,
-    `compute_metrics` recomputes every report field from them offline.
+    record is written to dump_dir/dump.npz, alongside report.json and
+    per_episode.csv; with the dataset's counterfactual set,
+    `compute_metrics` recomputes every report field from it offline.
+    Returns (MetricsReport, per-episode dict, prediction record).
     """
     cf = dataset.cf
     if cf.outcome.shape[0] == 0:
         raise ContractError("evaluation needs a counterfactual set")
-    pred = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
-                       arms=cf.arms[:-1], mc_samples=mc_samples, seed=seed,
-                       chunk=chunk)
-    report, per_episode = compute_metrics(
-        cf, pred["y_all"], pred["x_loc_hat"], pred["x_g_hat"], model.cfg,
-        variant=model.variant.value)
+    record = predict_ite(model, store, cf.x_local[:, -1], cf.x_global[:, -1],
+                         arms=cf.arms[:-1], mc_samples=mc_samples, seed=seed,
+                         chunk=chunk)
+    report, per_episode = compute_metrics(cf, record, model.cfg,
+                                          variant=model.variant.value)
     if dump_dir is not None:
-        write_eval_dump(Path(dump_dir), report, per_episode, pred)
-    return report, per_episode, pred
+        write_eval_dump(Path(dump_dir), report, per_episode, record)
+    return report, per_episode, record
 
-
-DUMP_FILE = "dump.npz"
-EVAL_DUMP_FORMAT = "eval-dump-v4"
-_DUMP_ARRAYS = ("y_pred", "a_pred", "x_loc_pred", "x_g_pred")
 
 
 def write_eval_dump(out: Path, report: MetricsReport, per_episode: dict,
-                    pred: dict) -> None:
+                    record: dict) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    values = (pred["y_all"], pred["a_all"], pred["x_loc_hat"],
-              pred["x_g_hat"])
-    artifact.save(out / DUMP_FILE, dict(zip(_DUMP_ARRAYS, values)),
-                  {"format": EVAL_DUMP_FORMAT, "arms": pred["arms"]})
+    artifact.save(out / DUMP_FILE, {k: record[k] for k in _DUMP_ARRAYS},
+                  {"format": EVAL_DUMP_FORMAT, "arms": record["arms"]})
 
     (out / "report.json").write_text(report.to_json() + "\n")
     scalar_keys = [k for k in per_episode
@@ -224,7 +229,8 @@ def _check_dump(path: Path, arrays: dict, arms: list[int]) -> None:
 def read_eval_dump(path: Path) -> dict:
     """Load a dump written by write_eval_dump, checked by `_check_dump`.
 
-    Returns the arrays by name plus "arms", the arm list of the dump.
+    Returns the prediction record: the arrays by name plus "arms", the arm
+    list of the dump, as predict_ite returns it.
     """
     file = Path(path) / DUMP_FILE
     arrays, meta = artifact.load(file, _DUMP_ARRAYS, EVAL_DUMP_FORMAT,

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .blocks import FlatBlock, GaussianHead, GnnBlock, GruCell, Mlp, treatment_head
 from .boids import SimConfig
-from .data import NEVER_TREATED, final_effects
+from .data import NEVER_TREATED
 from .errors import ConfigError, ContractError, DimensionError, DomainError
 from .optim import ParamStore
 from .parallel import fork_map
@@ -746,12 +746,12 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     unless mc_samples > 0 draws latents from the prior, so a deterministic
     call runs the mu halves only (see `CrnModel.latent`).
 
-    Returns a dict with arms (the arms, then NEVER_TREATED = -1 for the
-    never-treated arm, as in the dataset and eval's dump), y_final (n, A),
-    tau_hat (n, A-1), best_timing (n,), y_all (n, A, T), a_all (n, A, T),
-    and the
-    covariate predictions of world steps burn..T-1: x_loc_hat
-    (n, A, T-burn, K, 5) and x_g_hat (n, A, T-burn, 1).
+    Returns the prediction record that eval's dump stores and
+    `compute_metrics` scores: arms (the arms, then NEVER_TREATED = -1 for
+    the never-treated arm, as in the dataset), y_pred (n, A, T), a_pred
+    (n, A, T), and the covariate predictions of world steps burn..T-1:
+    x_loc_pred (n, A, T-burn, K, 5) and x_g_pred (n, A, T-burn, 1).
+    Effects and best starts are `data.final_effects` of y_pred.
     """
     cfg = model.cfg
     if mc_samples < 0 or chunk < 1:
@@ -769,11 +769,11 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
     all_arms = arms + [NEVER_TREATED]
     n_arms = len(all_arms)
 
-    y_all = np.zeros((n, n_arms, n_steps))
-    a_all = np.zeros((n, n_arms, n_steps))
+    y_pred = np.zeros((n, n_arms, n_steps))
+    a_pred = np.zeros((n, n_arms, n_steps))
     n_dec = sum(model.decodes(t, "infer") for t in range(n_steps))
-    x_loc_all = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5))
-    x_g_all = np.zeros((n, n_arms, n_dec, 1))
+    x_loc_pred = np.zeros((n, n_arms, n_dec, cfg.n_agents, 5))
+    x_g_pred = np.zeros((n, n_arms, n_dec, 1))
 
     if not model.variant.uses_encoder:
         mc_samples = 0   # nothing to draw: every pass would be the same
@@ -791,7 +791,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
         xb, gb = x_local[rows], x_global[rows]
         b = xb.shape[0]
         y, a_prob, x_loc, x_g = (np.zeros((b,) + full.shape[1:]) for full
-                                 in (y_all, a_all, x_loc_all, x_g_all))
+                                 in (y_pred, a_pred, x_loc_pred, x_g_pred))
 
         off, on = np.zeros(b), np.ones(b)
 
@@ -829,9 +829,7 @@ def predict_ite(model: CrnModel, store: ParamStore, x_local, x_global,
         return rows, (y, a_prob, x_loc, x_g)
 
     for rows, parts in fork_map(run_chunk, range(0, n, chunk)):
-        y_all[rows], a_all[rows], x_loc_all[rows], x_g_all[rows] = parts
+        y_pred[rows], a_pred[rows], x_loc_pred[rows], x_g_pred[rows] = parts
 
-    tau_hat, best = final_effects(y_all, arms)
-    return {"arms": all_arms, "y_final": y_all[:, :, -1], "tau_hat": tau_hat,
-            "best_timing": best, "y_all": y_all, "a_all": a_all,
-            "x_loc_hat": x_loc_all, "x_g_hat": x_g_all}
+    return {"arms": all_arms, "y_pred": y_pred, "a_pred": a_pred,
+            "x_loc_pred": x_loc_pred, "x_g_pred": x_g_pred}

@@ -16,15 +16,13 @@ from .config import _WEIGHT_KEYS, RunConfig, _apply
 from .data import Dataset
 from .errors import ConfigError
 from .losses import LossWeights
-from .metrics import MetricsReport, evaluate
+from .metrics import REPORT_METRICS, evaluate
 from .model import CrnModel
 from .training import train
 
 SWEEP_VALUES = (0.01, 0.1, 1.0)
 
-TABLE_COLUMNS = ("alpha", "gamma", "lambda", "l_outcome", "l_covariates",
-                 "pehe_sqrt", "ate_abs_err", "timing_err", "cf_uplift",
-                 "best_epoch")
+TABLE_COLUMNS = ("alpha", "gamma", "lambda", *REPORT_METRICS, "best_epoch")
 
 
 def default_grid() -> list[LossWeights]:
@@ -101,11 +99,9 @@ def sensitivity_sweep(run_cfg: RunConfig, dataset: Dataset,
 
 
 def _flat_row(row: dict) -> dict:
-    report: MetricsReport = row["report"]
-    out = {k: row[k] for k in ("alpha", "gamma", "lambda", "best_epoch")}
-    out.update({k: getattr(report, k) for k in TABLE_COLUMNS
-                if hasattr(report, k)})
-    return out
+    report = row["report"]
+    return {k: getattr(report, k) if k in REPORT_METRICS else row[k]
+            for k in TABLE_COLUMNS}
 
 
 def format_table(rows: list[dict]) -> str:

@@ -215,8 +215,7 @@ def test_criterion_6_gradient_reversal(shout):
 
 def test_criterion_7_metric_self_check(desk_ds, shout):
     cf = desk_ds.cf
-    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, desk_ds.cfg)
-    report, _ = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred,
+    report, _ = compute_metrics(cf, perfect_predictions(cf, desk_ds.cfg),
                                 desk_ds.cfg)
     zeros = (report.l_outcome, report.l_covariates, report.pehe_sqrt,
              report.ate_abs_err, report.timing_err)

@@ -517,12 +517,26 @@ def test_inconsistent_eval_dump_is_contract_error(eval_dir, tmp_path, edit,
         read_eval_dump(tmp_path)
 
 
+def test_dump_of_another_window_is_not_scored(pipeline, eval_dir,
+                                              tmp_path):
+    # starts 4-6 instead of 5-7: every shape matches, so the dump loads,
+    # but each start would be scored against another start's truth
+    ds = load_dataset(str(pipeline["root"] / "dataset"))
+    arrays, meta = artifact.load(eval_dir / "dump.npz", ())
+    assert meta["arms"] == ds.cf.arms == [5, 6, 7, -1]
+    meta["arms"] = [4, 5, 6, -1]
+    artifact.save(tmp_path / "dump.npz", arrays, meta)
+    dump = read_eval_dump(tmp_path)
+    with pytest.raises(ContractError,
+                       match=r"\[4, 5, 6, -1\].*\[5, 6, 7, -1\]"):
+        compute_metrics(ds.cf, dump, ds.cfg)
+
+
 def test_eval_report_recomputes_offline(pipeline, eval_dir):
     ds = load_dataset(str(pipeline["root"] / "dataset"))
     saved = json.loads((eval_dir / "report.json").read_text())
     dump = read_eval_dump(eval_dir)
-    report, per = compute_metrics(ds.cf, dump["y_pred"], dump["x_loc_pred"],
-                                  dump["x_g_pred"], ds.cfg, saved["variant"])
+    report, per = compute_metrics(ds.cf, dump, ds.cfg, saved["variant"])
     assert dataclasses.asdict(report) == saved
     with open(eval_dir / "per_episode.csv", newline="") as fh:
         rows = list(csv.reader(fh))

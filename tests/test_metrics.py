@@ -51,20 +51,21 @@ def test_windows():
 
 
 def perfect_predictions(cf, cfg):
-    """Predictions equal to the simulated truth, covariates over the
-    covariate window."""
+    """A prediction record equal to the simulated truth, covariates over
+    the covariate window."""
     cw = covariate_window(cfg)
-    y_pred = cf.outcome.astype(np.float64)
-    x_loc_pred = cf.x_local[:, :, cw].astype(np.float64)
-    x_g_pred = cf.x_global[:, :, cw].astype(np.float64)
-    return y_pred, x_loc_pred, x_g_pred
+    return {"arms": list(cf.arms),
+            "y_pred": cf.outcome.astype(np.float64),
+            "a_pred": cf.treatment.astype(np.float64),
+            "x_loc_pred": cf.x_local[:, :, cw].astype(np.float64),
+            "x_g_pred": cf.x_global[:, :, cw].astype(np.float64)}
 
 
 def test_ground_truth_self_check_scores_zero(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
-    report, per_episode = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred,
-                                          ds.cfg, variant="oracle")
+    record = perfect_predictions(cf, ds.cfg)
+    report, per_episode = compute_metrics(cf, record, ds.cfg,
+                                          variant="oracle")
     assert report.l_outcome == 0.0 and report.l_outcome_se == 0.0
     assert report.l_covariates == 0.0 and report.l_covariates_se == 0.0
     assert report.pehe_sqrt == 0.0 and report.pehe_sqrt_se == 0.0
@@ -77,7 +78,7 @@ def test_ground_truth_self_check_scores_zero(ds):
     assert report.cf_uplift >= 0.0
     base = ds.test.outcome.astype(np.float64)[:, ds.cfg.burn_in - 1]
     ow = outcome_window(ds.cfg)
-    manual = y_pred[:, :, ow].max(axis=(1, 2)) - base
+    manual = record["y_pred"][:, :, ow].max(axis=(1, 2)) - base
     assert np.allclose(per_episode["cf_uplift"], manual, atol=0)
     assert abs(report.cf_uplift - manual.mean()) < 1e-15
 
@@ -90,9 +91,10 @@ def test_timing_error_counts_offsets(ds):
     outcome = ds.cf.outcome.copy()
     outcome[:, 0, -1] = outcome[:, :, -1].max(axis=1) + 1.0
     cf = dataclasses.replace(ds.cf, outcome=outcome)
-    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
+    record = perfect_predictions(cf, ds.cfg)
+    y_pred = record["y_pred"]
     y_pred[:, -2, -1] = y_pred[:, :, -1].max(axis=1) + 1.0
-    report, per = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred, ds.cfg)
+    report, per = compute_metrics(cf, record, ds.cfg)
     assert per["best_true"].tolist() == [first] * cf.n
     assert per["best_pred"].tolist() == [last] * cf.n
     assert report.timing_err == 2.0
@@ -108,7 +110,10 @@ def test_compute_metrics_matches_manual_recompute(ds):
     y_pred = rng.uniform(size=(n, n_arms, n_steps))
     x_loc_pred = rng.normal(size=cf.x_local[:, :, cw].shape)
     x_g_pred = rng.uniform(size=cf.x_global[:, :, cw].shape)
-    report, per = compute_metrics(cf, y_pred, x_loc_pred, x_g_pred, cfg)
+    record = {"arms": list(cf.arms), "y_pred": y_pred,
+              "a_pred": np.zeros_like(y_pred),
+              "x_loc_pred": x_loc_pred, "x_g_pred": x_g_pred}
+    report, per = compute_metrics(cf, record, cfg)
     ow = outcome_window(cfg)
     out_err = np.abs(y_pred[:, :, ow] - cf.outcome[:, :, ow]).mean(axis=(1, 2))
     assert np.allclose(per["l_outcome"], out_err, atol=1e-15)
@@ -128,7 +133,7 @@ def test_compute_metrics_matches_manual_recompute(ds):
     ate_arm = np.abs((tau_hat - tau_true).mean(axis=0))
     assert abs(report.pehe_sqrt - pehe_arm.mean()) < 1e-15
     assert abs(report.ate_abs_err - ate_arm.mean()) < 1e-15
-    assert np.allclose(per["tau_hat"], tau_hat, atol=0)
+    assert np.allclose(per["tau_pred"], tau_hat, atol=0)
     best = np.array(cfg.intervention_steps)[y_final[:, :-1].argmax(axis=1)]
     assert np.array_equal(per["best_pred"], best)
     uplift = (y_pred[:, :, ow].max(axis=(1, 2))
@@ -138,20 +143,21 @@ def test_compute_metrics_matches_manual_recompute(ds):
 
 def test_compute_metrics_rejects_bad_y_shape(ds):
     cf = ds.cf
-    y_pred, x_loc_pred, x_g_pred = perfect_predictions(cf, ds.cfg)
+    record = perfect_predictions(cf, ds.cfg)
+    record["y_pred"] = record["y_pred"][:, :, :-1]
     with pytest.raises(DimensionError):
-        compute_metrics(cf, y_pred[:, :, :-1], x_loc_pred, x_g_pred, ds.cfg)
+        compute_metrics(cf, record, ds.cfg)
 
 
 def test_compute_metrics_rejects_covariates_off_the_window(ds):
     # the eval-dump-v2 layout: one covariate prediction per step, not the
     # window's
     cf = ds.cf
-    y_pred, _, _ = perfect_predictions(cf, ds.cfg)
-    x_loc = cf.x_local.astype(np.float64)
-    x_g = cf.x_global.astype(np.float64)
+    record = perfect_predictions(cf, ds.cfg)
+    record["x_loc_pred"] = cf.x_local.astype(np.float64)
+    record["x_g_pred"] = cf.x_global.astype(np.float64)
     with pytest.raises(DimensionError):
-        compute_metrics(cf, y_pred, x_loc, x_g, ds.cfg)
+        compute_metrics(cf, record, ds.cfg)
 
 
 def test_evaluate_requires_counterfactuals(ds):
@@ -174,13 +180,15 @@ def test_evaluate_report_and_dump_round_trip(ds, tmp_path):
         assert np.isfinite(getattr(report, field + "_se"))
 
     dump = read_eval_dump(tmp_path)
+    assert set(pred) == set(dump)
     assert dump["arms"] == pred["arms"] == ds.cf.arms
-    assert np.array_equal(dump["y_pred"], pred["y_all"])
-    assert np.array_equal(dump["a_pred"], pred["a_all"])
-    assert np.array_equal(dump["x_loc_pred"], pred["x_loc_hat"])
-    assert np.array_equal(dump["x_g_pred"], pred["x_g_hat"])
-    assert np.array_equal(per["tau_hat"], pred["tau_hat"])
-    assert np.array_equal(per["best_pred"], pred["best_timing"])
+    for key in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
+        assert (dump[key].dtype, dump[key].shape) == (pred[key].dtype,
+                                                      pred[key].shape), key
+        assert dump[key].tobytes() == pred[key].tobytes(), key
+    tau_pred, best_pred = final_effects(pred["y_pred"], pred["arms"][:-1])
+    assert np.array_equal(per["tau_pred"], tau_pred)
+    assert np.array_equal(per["best_pred"], best_pred)
 
     saved = json.loads((tmp_path / "report.json").read_text())
     assert saved["l_outcome"] == report.l_outcome
@@ -199,8 +207,7 @@ def test_dump_supports_offline_recompute(ds, tmp_path):
     cf, cfg = ds.cf, ds.cfg
     # the dump and the dataset's counterfactual set give back report.json
     # field for field and every per-episode array bitwise
-    again, per_again = compute_metrics(cf, dump["y_pred"], dump["x_loc_pred"],
-                                       dump["x_g_pred"], cfg, report.variant)
+    again, per_again = compute_metrics(cf, dump, cfg, report.variant)
     saved = json.loads((tmp_path / "report.json").read_text())
     assert dataclasses.asdict(again) == saved
     assert list(per_again) == list(per)

@@ -8,7 +8,7 @@ import cfswarm.parallel as parallel
 import cfswarm.tensor as T
 from cfswarm.blocks import GaussianHead, GnnBlock, treatment_head
 from cfswarm.boids import SimConfig, simulate
-from cfswarm.data import NEVER_TREATED
+from cfswarm.data import NEVER_TREATED, final_effects
 from cfswarm.errors import ContractError, DimensionError
 from cfswarm.losses import LossWeights, loss_total
 from cfswarm.model import (CrnModel, ModelDims, ModelVariant, predict_ite,
@@ -584,19 +584,18 @@ def test_predict_ite_arm_layout():
     arms = cfg.intervention_steps
     assert out["arms"] == arms + [NEVER_TREATED]
     n_arms = len(arms) + 1
-    assert out["y_all"].shape == (3, n_arms, cfg.n_steps)
-    assert out["a_all"].shape == (3, n_arms, cfg.n_steps)
-    assert out["y_final"].shape == (3, n_arms)
-    assert out["tau_hat"].shape == (3, n_arms - 1)
-    assert np.array_equal(out["y_final"], out["y_all"][:, :, -1])
-    assert np.allclose(out["tau_hat"],
-                       out["y_final"][:, :-1] - out["y_final"][:, -1:],
-                       atol=0)
-    assert set(out["best_timing"]).issubset(set(arms))
+    assert out["y_pred"].shape == (3, n_arms, cfg.n_steps)
+    assert out["a_pred"].shape == (3, n_arms, cfg.n_steps)
+    y_final = out["y_pred"][:, :, -1]
+    tau_hat, best_timing = final_effects(out["y_pred"], arms)
+    assert y_final.shape == (3, n_arms)
+    assert tau_hat.shape == (3, n_arms - 1)
+    assert np.allclose(tau_hat, y_final[:, :-1] - y_final[:, -1:], atol=0)
+    assert set(best_timing).issubset(set(arms))
     # covariate predictions of world steps burn..T-1 only
     n_free = cfg.n_steps - cfg.burn_in
-    assert out["x_loc_hat"].shape == (3, n_arms, n_free, cfg.n_agents, 5)
-    assert out["x_g_hat"].shape == (3, n_arms, n_free, 1)
+    assert out["x_loc_pred"].shape == (3, n_arms, n_free, cfg.n_agents, 5)
+    assert out["x_g_pred"].shape == (3, n_arms, n_free, 1)
 
 
 def test_predict_ite_chunking_invariant():
@@ -605,8 +604,10 @@ def test_predict_ite_chunking_invariant():
     x_local, x_global, _ = batch_from_sim(cfg, 5, seed=21)
     one = predict_ite(model, store, x_local, x_global, chunk=5)
     two = predict_ite(model, store, x_local, x_global, chunk=2)
-    assert np.array_equal(one["y_all"], two["y_all"])
-    assert np.array_equal(one["best_timing"], two["best_timing"])
+    assert np.array_equal(one["y_pred"], two["y_pred"])
+    arms = cfg.intervention_steps
+    assert np.array_equal(final_effects(one["y_pred"], arms)[1],
+                          final_effects(two["y_pred"], arms)[1])
 
 
 def test_predict_ite_deterministic_and_mc_seeded():
@@ -615,13 +616,13 @@ def test_predict_ite_deterministic_and_mc_seeded():
     x_local, x_global, _ = batch_from_sim(cfg, 2, seed=22)
     a = predict_ite(model, store, x_local, x_global)
     b = predict_ite(model, store, x_local, x_global)
-    assert np.array_equal(a["y_all"], b["y_all"])
+    assert np.array_equal(a["y_pred"], b["y_pred"])
     mc1 = predict_ite(model, store, x_local, x_global, mc_samples=3, seed=5)
     mc2 = predict_ite(model, store, x_local, x_global, mc_samples=3, seed=5)
-    assert np.array_equal(mc1["y_all"], mc2["y_all"])
+    assert np.array_equal(mc1["y_pred"], mc2["y_pred"])
     mc3 = predict_ite(model, store, x_local, x_global, mc_samples=3, seed=6)
-    assert not np.array_equal(mc1["y_all"], mc3["y_all"])
-    assert not np.array_equal(a["y_all"], mc1["y_all"])
+    assert not np.array_equal(mc1["y_pred"], mc3["y_pred"])
+    assert not np.array_equal(a["y_pred"], mc1["y_pred"])
 
 
 def test_predict_ite_zero_params_gives_zero_effect():
@@ -630,10 +631,13 @@ def test_predict_ite_zero_params_gives_zero_effect():
     store = zero_store(model)
     x_local, x_global, _ = batch_from_sim(cfg, 2, seed=23)
     out = predict_ite(model, store, x_local, x_global)
-    assert np.array_equal(out["y_final"], np.full_like(out["y_final"], 0.5))
-    assert np.array_equal(out["tau_hat"], np.zeros_like(out["tau_hat"]))
+    y_final = out["y_pred"][:, :, -1]
+    tau_hat, best_timing = final_effects(out["y_pred"],
+                                         cfg.intervention_steps)
+    assert np.array_equal(y_final, np.full_like(y_final, 0.5))
+    assert np.array_equal(tau_hat, np.zeros_like(tau_hat))
     # argmax ties resolve to the earliest intervention step
-    assert np.all(out["best_timing"] == cfg.intervention_steps[0])
+    assert np.all(best_timing == cfg.intervention_steps[0])
 
 
 def test_predict_ite_only_burn_in_prefix_matters():
@@ -646,8 +650,10 @@ def test_predict_ite_only_burn_in_prefix_matters():
     noisy_g[:, cfg.burn_in:] = 0.77
     a = predict_ite(model, store, x_local, x_global)
     b = predict_ite(model, store, noisy_l, noisy_g)
-    assert np.array_equal(a["y_all"], b["y_all"])
-    assert np.array_equal(a["tau_hat"], b["tau_hat"])
+    assert np.array_equal(a["y_pred"], b["y_pred"])
+    arms = cfg.intervention_steps
+    assert np.array_equal(final_effects(a["y_pred"], arms)[0],
+                          final_effects(b["y_pred"], arms)[0])
 
 
 def test_predict_ite_rejects_bad_arms_before_any_step():
@@ -723,11 +729,11 @@ def per_arm_reference(model, store, x_local, x_global, arms, chunk):
     n, n_steps = x_local.shape[0], x_local.shape[1]
     n_free = n_steps - model.cfg.burn_in
     all_arms = list(arms) + [None]
-    ref = {"y_all": np.zeros((n, len(all_arms), n_steps)),
-           "a_all": np.zeros((n, len(all_arms), n_steps)),
-           "x_loc_hat": np.zeros((n, len(all_arms), n_free,
-                                  model.cfg.n_agents, 5)),
-           "x_g_hat": np.zeros((n, len(all_arms), n_free, 1))}
+    ref = {"y_pred": np.zeros((n, len(all_arms), n_steps)),
+           "a_pred": np.zeros((n, len(all_arms), n_steps)),
+           "x_loc_pred": np.zeros((n, len(all_arms), n_free,
+                                   model.cfg.n_agents, 5)),
+           "x_g_pred": np.zeros((n, len(all_arms), n_free, 1))}
     for start in range(0, n, chunk):
         rows = slice(start, min(start + chunk, n))
         for ai, arm in enumerate(all_arms):
@@ -735,11 +741,11 @@ def per_arm_reference(model, store, x_local, x_global, arms, chunk):
             roll = model.rollout(
                 leaves, x_local[rows], x_global[rows],
                 absorbing(rows.stop - start, n_steps, arm), "infer")
-            ref["y_all"][rows, ai] = stacked(roll, "y_hat")[:, :, 0]
-            ref["a_all"][rows, ai] = stacked(roll, "a_prob")[:, :, 0]
-            ref["x_loc_hat"][rows, ai] = stacked(roll, "x_loc_hat")
-            ref["x_g_hat"][rows, ai] = stacked(roll, "x_g_hat")
-    y_final = ref["y_all"][:, :, -1]
+            ref["y_pred"][rows, ai] = stacked(roll, "y_hat")[:, :, 0]
+            ref["a_pred"][rows, ai] = stacked(roll, "a_prob")[:, :, 0]
+            ref["x_loc_pred"][rows, ai] = stacked(roll, "x_loc_hat")
+            ref["x_g_pred"][rows, ai] = stacked(roll, "x_g_hat")
+    y_final = ref["y_pred"][:, :, -1]
     ref["tau_hat"] = y_final[:, :-1] - y_final[:, -1:]
     ref["best_timing"] = np.array(arms)[np.argmax(y_final[:, :-1], axis=1)]
     return ref
@@ -756,6 +762,8 @@ def test_predict_ite_matches_per_arm_rollouts(variant):
                           chunk=2)
         ref = per_arm_reference(model, store, x_local, x_global, arms, 2)
         assert got["arms"] == list(arms) + [NEVER_TREATED]
+        got["tau_hat"], got["best_timing"] = final_effects(got["y_pred"],
+                                                           arms)
         for key, val in ref.items():
             assert np.array_equal(got[key], val), (arms, key)
 
@@ -779,23 +787,23 @@ def test_predict_ite_mc_shares_trunk_draws_before_each_start():
                 absorbing(3, cfg.n_steps, None), "infer", rng=rng)
             for name in acc:
                 acc[name] = acc[name] + stacked(roll, name) / n_pass
-        assert np.array_equal(got["y_all"][:, -1], acc["y_hat"][:, :, 0])
-        assert np.array_equal(got["a_all"][:, -1], acc["a_prob"][:, :, 0])
-        assert np.array_equal(got["x_loc_hat"][:, -1], acc["x_loc_hat"])
-        assert np.array_equal(got["x_g_hat"][:, -1], acc["x_g_hat"])
+        assert np.array_equal(got["y_pred"][:, -1], acc["y_hat"][:, :, 0])
+        assert np.array_equal(got["a_pred"][:, -1], acc["a_prob"][:, :, 0])
+        assert np.array_equal(got["x_loc_pred"][:, -1], acc["x_loc_hat"])
+        assert np.array_equal(got["x_g_pred"][:, -1], acc["x_g_hat"])
         # each treated arm is the trunk until its start, then its own draws;
         # covariate entry j is step burn-1+j's prediction
         for ai, s in enumerate(arms):
-            for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
-                cut = s if key in ("y_all", "a_all") else max(
+            for key in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
+                cut = s if key in ("y_pred", "a_pred") else max(
                     0, s + 1 - cfg.burn_in)
                 assert np.array_equal(got[key][:, ai, :cut],
                                       got[key][:, -1, :cut]), (s, key)
-            assert not np.array_equal(got["a_all"][:, ai, s:],
-                                      got["a_all"][:, -1, s:])
+            assert not np.array_equal(got["a_pred"][:, ai, s:],
+                                      got["a_pred"][:, -1, s:])
             # step s's latent half reads no treatment: it is the trunk's draw
-            assert np.array_equal(got["a_all"][:, ai, s],
-                                  got["a_all"][:, -1, s]), s
+            assert np.array_equal(got["a_pred"][:, ai, s],
+                                  got["a_pred"][:, -1, s]), s
 
 
 @pytest.mark.parametrize("variant", [ModelVariant.TGV_CRN,
@@ -811,13 +819,13 @@ def test_predict_ite_chunks_draw_their_own_noise(variant):
     x_global = np.concatenate([x_global, x_global])
     mc = predict_ite(model, store, x_local, x_global, mc_samples=2, seed=4,
                      chunk=2)
-    for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+    for key in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
         for i in (0, 1):
             assert not np.array_equal(mc[key][i], mc[key][i + 2]), (key, i)
     # the first chunk keeps the keys of a call that fits in one chunk
     head = predict_ite(model, store, x_local[:2], x_global[:2],
                        mc_samples=2, seed=4, chunk=2)
-    for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+    for key in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
         assert np.array_equal(mc[key][:2], head[key]), key
     # deterministic calls draw nothing, so chunking cannot move them
     two, four = (predict_ite(model, store, x_local, x_global, chunk=c)
@@ -898,9 +906,9 @@ def test_predict_ite_degenerate_worlds_stay_finite():
                          else model.init_store(30))
                 out = predict_ite(model, store, x_local, x_global, chunk=1,
                                   mc_samples=2)
-                for key in ("y_all", "a_all", "x_loc_hat", "x_g_hat"):
+                for key in ("y_pred", "a_pred", "x_loc_pred", "x_g_pred"):
                     assert np.all(np.isfinite(out[key])), (variant, key)
-                assert np.all((out["y_all"] > 0.0) & (out["y_all"] < 1.0))
+                assert np.all((out["y_pred"] > 0.0) & (out["y_pred"] < 1.0))
     finally:
         T.set_strict_finite(False)
 
@@ -985,9 +993,13 @@ def test_skipped_decodes_change_no_output(variant, monkeypatch):
     ref_preds, ref_losses = run()
     window = slice(cfg.burn_in - 1, cfg.n_steps - 1)
     for got, ref in zip(preds, ref_preds):
-        for key in ("y_all", "a_all", "tau_hat", "best_timing"):
+        for key in ("y_pred", "a_pred"):
             assert np.array_equal(got[key], ref[key]), key
-        for key in ("x_loc_hat", "x_g_hat"):
+        for got_eff, ref_eff in zip(
+                final_effects(got["y_pred"], cfg.intervention_steps),
+                final_effects(ref["y_pred"], cfg.intervention_steps)):
+            assert np.array_equal(got_eff, ref_eff)
+        for key in ("x_loc_pred", "x_g_pred"):
             assert ref[key].shape[2] == cfg.n_steps
             assert np.array_equal(got[key], ref[key][:, :, window]), key
     for (parts, grads), (ref_parts, ref_grads) in zip(losses, ref_losses):
